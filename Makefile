@@ -18,7 +18,7 @@ FUZZTIME ?= 10s
 # Seeded fault schedules per `make chaos` run (see internal/sim/chaos).
 CHAOS_SCHEDULES ?= 50
 
-.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench bench-go bench-smoke oracle fuzz-smoke obs-test obscheck docs-check golden-update ci
+.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench bench-go bench-smoke oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update ci
 
 build:
 	$(GO) build ./...
@@ -127,10 +127,18 @@ persist-test:
 	$(GO) test -race -count=1 ./internal/persist/
 	$(GO) test -race -count=1 -run 'Persist|Warm|ETag|Conditional|StatsV2|StatsSchema' ./internal/server/ ./internal/client/ ./internal/cluster/ ./internal/sim/chaos/
 
+# The end-to-end benchmark (perfbench/, see BENCHMARK.json) is a module
+# of its own that uses this one through `replace primecache => ../`, so
+# the root `go build ./...` never compiles it. Vet and test it here, so
+# an API change in the packages it uses fails CI rather than the next
+# benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # Regenerate the golden files for the report renderers, the figures
 # command, and the /metrics exposition after an intended output change.
 golden-update:
 	$(GO) test ./internal/report/ ./cmd/figures/ -update
 	$(GO) test ./internal/server/ -run Golden -update
 
-ci: vet build test race-server cluster-test stress chaos persist-test obs-test docs-check fuzz-smoke oracle bench-smoke
+ci: vet build test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-smoke

@@ -1,20 +1,24 @@
 package cache
 
-// Batched execution fast path. The per-access Sim.Access entry point
-// pays interface dispatch, a virtual Mapper.Index call, and a Result
-// copy on every reference; for trace replay those costs dominate once
-// the simulated organisation itself is cheap. AccessBatch amortises
-// them: set indices are computed by a devirtualized loop specialised on
-// the concrete mapper, statistics and the LRU clock accumulate in
-// locals and are written back once per batch, and callers that only
-// fold statistics pass a nil result slice so no per-access Result is
-// materialised at all.
+// Batched execution. Cache, SkewedCache and VictimCache each write their
+// hit, miss, eviction and classification logic once, in AccessBatch;
+// their Access is a batch of one over stack arrays. PrefetchCache is
+// inherently sequential (a prefetch issued for one reference changes
+// what the next sees), so its AccessBatch loops over its Access, which
+// drives the wrapped Cache's batch loop.
 //
-// Batched and per-access execution are observably identical: the same
-// access sequence produces byte-identical Stats and per-access Results
-// regardless of how it is chunked (see TestAccessBatchEquivalence and
-// the differential-oracle campaign, which drives the fast simulators
-// through this path against per-access references).
+// AccessBatch amortises what a per-reference entry point pays on every
+// call: Cache computes set indices in a loop devirtualized on the
+// concrete mapper, the LRU clock accumulates in a local written back
+// once per batch, and callers that only fold statistics pass a nil
+// result slice so no per-access Result is materialised at all.
+//
+// Because Access is AccessBatch over one reference, the two cannot
+// disagree. What remains to prove is that chunking does not matter: the
+// same access sequence yields byte-identical Stats and per-access
+// Results however it is split into batches (TestAccessBatchEquivalence).
+// The differential-oracle campaign checks the one implementation
+// against slow, obviously correct reference models.
 
 import "context"
 
@@ -82,412 +86,5 @@ func AccessBatch(s Sim, accs []Access, out []Result) {
 	}
 	for i, a := range accs {
 		out[i] = s.Access(a)
-	}
-}
-
-// setScratch returns a reusable set-index buffer of at least n entries.
-func (c *Cache) setScratch(n int) []int {
-	if cap(c.scratch) < n {
-		c.scratch = make([]int, n)
-	}
-	return c.scratch[:n]
-}
-
-// AccessBatch implements BatchSim. It is equivalent to calling Access
-// for each element of accs in order (same Results, same Stats, same
-// final cache state) but computes set indices without per-access
-// interface dispatch and accumulates counters in registers.
-func (c *Cache) AccessBatch(accs []Access, out []Result) {
-	if len(accs) == 0 {
-		return
-	}
-	idx := c.setScratch(len(accs))
-	shift := c.lineShift
-	switch m := c.cfg.Mapper.(type) {
-	case DirectMapper:
-		mask := m.mask
-		for i := range accs {
-			idx[i] = int((accs[i].Addr >> shift) & mask)
-		}
-	case PrimeMapper:
-		mod := m.mod
-		for i := range accs {
-			idx[i] = int(mod.Reduce(accs[i].Addr >> shift))
-		}
-	case ModuloMapper:
-		sets := uint64(m.sets)
-		for i := range accs {
-			idx[i] = int((accs[i].Addr >> shift) % sets)
-		}
-	default:
-		mp := c.cfg.Mapper
-		for i := range accs {
-			idx[i] = mp.Index(accs[i].Addr >> shift)
-		}
-	}
-	if c.cfg.Ways == 1 {
-		c.batchDirect(accs, out, idx)
-	} else {
-		c.batchAssoc(accs, out, idx)
-	}
-}
-
-// batchDirect is the one-way (direct- and prime-mapped) inner loop: no
-// way scan, no replacement policy, victim is always frame 0.
-func (c *Cache) batchDirect(accs []Access, out []Result, idx []int) {
-	clock := c.clock
-	st := c.stats
-	shift := c.lineShift
-	wb := c.cfg.WriteBack
-	classify := c.shadow != nil
-	for i := range accs {
-		a := &accs[i]
-		clock++
-		st.Accesses++
-		if a.Write {
-			st.Writes++
-			if !wb {
-				st.MemoryWrites++
-			}
-		} else {
-			st.Reads++
-		}
-		line := a.Addr >> shift
-		set := idx[i]
-		w := &c.sets[set][0]
-
-		// A shadow hit implies the line was referenced before, so the
-		// compulsory (seen) lookup is needed only on shadow misses —
-		// steady-state replay skips one map operation per access.
-		var firstRef, shadowHit bool
-		if classify {
-			shadowHit = c.shadow.touch(line)
-			if !shadowHit && !c.seen[line] {
-				firstRef = true
-				c.seen[line] = true
-			}
-		}
-
-		if w.valid && w.line == line {
-			w.lastUse = clock
-			if a.Write && wb {
-				w.dirty = true
-			}
-			st.Hits++
-			if out != nil {
-				out[i] = Result{Hit: true, Set: set}
-			}
-			continue
-		}
-
-		st.Misses++
-		res := Result{Set: set}
-		if classify {
-			switch {
-			case firstRef:
-				res.Kind = MissCompulsory
-				st.Compulsory++
-			case shadowHit:
-				res.Kind = MissConflict
-				st.Conflict++
-				if evictor, ok := c.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-					if evictor == a.Stream {
-						res.SelfInterference = true
-						st.SelfInterference++
-					} else {
-						res.CrossInterference = true
-						st.CrossInterference++
-					}
-				}
-			default:
-				res.Kind = MissCapacity
-				st.Capacity++
-			}
-		}
-		if w.valid {
-			res.Evicted = true
-			res.EvictedLine = w.line
-			st.Evictions++
-			if w.prefetched {
-				c.prefetchWasted++
-			}
-			if w.dirty {
-				st.Writebacks++
-				st.MemoryWrites++
-			}
-			if c.evictedBy != nil {
-				c.evictedBy[w.line] = a.Stream
-			}
-		}
-		*w = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock,
-			dirty: a.Write && wb}
-		if out != nil {
-			out[i] = res
-		}
-	}
-	c.clock = clock
-	c.stats = st
-}
-
-// batchAssoc is the set-associative inner loop: a way scan per access
-// and the configured replacement policy, with the same local-counter
-// accumulation as batchDirect.
-func (c *Cache) batchAssoc(accs []Access, out []Result, idx []int) {
-	clock := c.clock
-	st := c.stats
-	shift := c.lineShift
-	wb := c.cfg.WriteBack
-	classify := c.shadow != nil
-	for i := range accs {
-		a := &accs[i]
-		clock++
-		st.Accesses++
-		if a.Write {
-			st.Writes++
-			if !wb {
-				st.MemoryWrites++
-			}
-		} else {
-			st.Reads++
-		}
-		line := a.Addr >> shift
-		set := idx[i]
-		ways := c.sets[set]
-
-		// As in batchDirect: shadow hit ⇒ seen, so the compulsory lookup
-		// runs only on shadow misses.
-		var firstRef, shadowHit bool
-		if classify {
-			shadowHit = c.shadow.touch(line)
-			if !shadowHit && !c.seen[line] {
-				firstRef = true
-				c.seen[line] = true
-			}
-		}
-
-		hit := false
-		for j := range ways {
-			if ways[j].valid && ways[j].line == line {
-				ways[j].lastUse = clock
-				if a.Write && wb {
-					ways[j].dirty = true
-				}
-				st.Hits++
-				if out != nil {
-					out[i] = Result{Hit: true, Set: set, Way: j}
-				}
-				hit = true
-				break
-			}
-		}
-		if hit {
-			continue
-		}
-
-		st.Misses++
-		res := Result{Set: set}
-		if classify {
-			switch {
-			case firstRef:
-				res.Kind = MissCompulsory
-				st.Compulsory++
-			case shadowHit:
-				res.Kind = MissConflict
-				st.Conflict++
-				if evictor, ok := c.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-					if evictor == a.Stream {
-						res.SelfInterference = true
-						st.SelfInterference++
-					} else {
-						res.CrossInterference = true
-						st.CrossInterference++
-					}
-				}
-			default:
-				res.Kind = MissCapacity
-				st.Capacity++
-			}
-		}
-		victim := c.pickVictim(ways)
-		if ways[victim].valid {
-			res.Evicted = true
-			res.EvictedLine = ways[victim].line
-			st.Evictions++
-			if ways[victim].prefetched {
-				c.prefetchWasted++
-			}
-			if ways[victim].dirty {
-				st.Writebacks++
-				st.MemoryWrites++
-			}
-			if c.evictedBy != nil {
-				c.evictedBy[ways[victim].line] = a.Stream
-			}
-		}
-		ways[victim] = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock,
-			dirty: a.Write && wb}
-		res.Way = victim
-		if out != nil {
-			out[i] = res
-		}
-	}
-	c.clock = clock
-	c.stats = st
-}
-
-// AccessBatch implements BatchSim: the two XOR hash probes and the
-// recency compare run with counters in locals, written back once.
-func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
-	clock := s.clock
-	st := s.stats
-	shift := s.lineShift
-	for i := range accs {
-		a := &accs[i]
-		clock++
-		st.Accesses++
-		if a.Write {
-			st.Writes++
-		} else {
-			st.Reads++
-		}
-		line := a.Addr >> shift
-
-		// Shadow hit ⇒ seen before, so the compulsory lookup runs only on
-		// shadow misses (same reasoning as Cache.batchDirect).
-		shadowHit := s.shadow.touch(line)
-		firstRef := false
-		if !shadowHit && !s.seen[line] {
-			firstRef = true
-			s.seen[line] = true
-		}
-
-		i0, i1 := s.hash(0, line), s.hash(1, line)
-		e0, e1 := &s.ways[0][i0], &s.ways[1][i1]
-		if e0.valid && e0.line == line {
-			e0.lastUse = clock
-			st.Hits++
-			if out != nil {
-				out[i] = Result{Hit: true, Set: i0, Way: 0}
-			}
-			continue
-		}
-		if e1.valid && e1.line == line {
-			e1.lastUse = clock
-			st.Hits++
-			if out != nil {
-				out[i] = Result{Hit: true, Set: i1, Way: 1}
-			}
-			continue
-		}
-
-		st.Misses++
-		res := Result{}
-		switch {
-		case firstRef:
-			res.Kind = MissCompulsory
-			st.Compulsory++
-		case shadowHit:
-			res.Kind = MissConflict
-			st.Conflict++
-			if evictor, ok := s.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-				if evictor == a.Stream {
-					res.SelfInterference = true
-					st.SelfInterference++
-				} else {
-					res.CrossInterference = true
-					st.CrossInterference++
-				}
-			}
-		default:
-			res.Kind = MissCapacity
-			st.Capacity++
-		}
-
-		w, victim := 0, e0
-		switch {
-		case !e0.valid:
-		case !e1.valid:
-			w, victim = 1, e1
-		case e1.lastUse < e0.lastUse:
-			w, victim = 1, e1
-		}
-		if victim.valid {
-			res.Evicted = true
-			res.EvictedLine = victim.line
-			st.Evictions++
-			s.evictedBy[victim.line] = a.Stream
-		}
-		*victim = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock}
-		if w == 0 {
-			res.Set = i0
-		} else {
-			res.Set = i1
-		}
-		res.Way = w
-		if out != nil {
-			out[i] = res
-		}
-	}
-	s.clock = clock
-	s.stats = st
-}
-
-// AccessBatch implements BatchSim. The main array runs its own batch
-// fast path first; the victim-buffer bookkeeping then replays the
-// per-access outcomes in order. The buffer never influences the main
-// array's state, so splitting the two phases is observably identical
-// to interleaving them per access.
-func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
-	if len(accs) == 0 {
-		return
-	}
-	if cap(v.scratch) < len(accs) {
-		v.scratch = make([]Result, len(accs))
-	}
-	res := v.scratch[:len(accs)]
-	v.main.AccessBatch(accs, res)
-	for i := range accs {
-		v.clock++
-		r := res[i]
-		if !r.Hit {
-			line := v.main.LineAddr(accs[i].Addr)
-			if r.Evicted {
-				v.insert(r.EvictedLine, accs[i].Stream)
-			}
-			swap := false
-			for j := range v.buf {
-				if v.buf[j].valid && v.buf[j].line == line {
-					v.buf[j].valid = false
-					v.hits++
-					r.Hit = true
-					r.Kind = MissNone
-					swap = true
-					break
-				}
-			}
-			if !swap {
-				v.misses++
-			}
-		}
-		if out != nil {
-			out[i] = r
-		}
-	}
-}
-
-// AccessBatch implements BatchSim: a direct (non-interface) per-access
-// loop. Prefetch installs issued for element i change what element i+1
-// sees, so the prefetcher is inherently sequential; the batch still
-// removes the interface dispatch and Result copy of the generic
-// fallback.
-func (p *PrefetchCache) AccessBatch(accs []Access, out []Result) {
-	if out == nil {
-		for i := range accs {
-			p.Access(accs[i])
-		}
-		return
-	}
-	for i := range accs {
-		out[i] = p.Access(accs[i])
 	}
 }

@@ -16,13 +16,15 @@ import (
 const batchSeed = 20260806
 
 // chunkSizes are the batch granularities the equivalence suite proves
-// indistinguishable from per-access execution: degenerate (1), odd and
-// small (7), the common chunk (64), and larger-than-most-traces (1023).
+// indistinguishable from one another: degenerate (1), odd and small (7),
+// the common chunk (64), and larger-than-most-traces (1023).
 var chunkSizes = []int{1, 7, 64, 1023}
 
-// TestAccessBatchEquivalence proves AccessBatch is observably identical
-// to the per-access path for every Spec organisation: same per-access
-// Results, byte-identical final Stats, for every chunk size.
+// TestAccessBatchEquivalence proves chunking invariance for every Spec
+// organisation: however a trace is split into AccessBatch calls, the
+// per-access Results and the final Stats are byte-identical to the
+// per-access replay's. Access is a batch of one, so the chunk-1 case
+// holds by construction; the larger chunks are the real check.
 func TestAccessBatchEquivalence(t *testing.T) {
 	t.Logf("generator seed %d", batchSeed)
 	for _, kind := range cache.SpecKinds() {
@@ -152,6 +154,59 @@ func TestAccessBatchPrefetch(t *testing.T) {
 	}
 }
 
+// TestAccessSteadyStateAllocs proves that Access, a batch of one over
+// stack arrays, allocates nothing once the cache is warm, for every Spec
+// organisation and for a PrefetchCache. An allocation per call here means
+// the one-element arrays escaped to the heap.
+func TestAccessSteadyStateAllocs(t *testing.T) {
+	// Two streams, a conflict-heavy stride-512 sweep and a unit-stride
+	// sweep with stores, so the hit, miss and eviction paths all run.
+	var accs []cache.Access
+	for i := 0; i < 64; i++ {
+		accs = append(accs,
+			cache.Access{Addr: uint64(i) * 512 * 8, Stream: 1},
+			cache.Access{Addr: uint64(i) * 8, Stream: 2, Write: i%3 == 0})
+	}
+	check := func(t *testing.T, sim cache.Sim) {
+		t.Helper()
+		for pass := 0; pass < 4; pass++ {
+			for _, a := range accs {
+				sim.Access(a)
+			}
+		}
+		k := 0
+		allocs := testing.AllocsPerRun(10*len(accs), func() {
+			sim.Access(accs[k%len(accs)])
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state Access allocates %v times per call, want 0", sim.Describe(), allocs)
+		}
+	}
+	g := oracle.NewGen(batchSeed + 2)
+	for _, kind := range cache.SpecKinds() {
+		spec := g.SpecOfKind(kind)
+		t.Run(kind, func(t *testing.T) {
+			sim, err := spec.Build()
+			if err != nil {
+				t.Fatalf("build %q: %v", spec, err)
+			}
+			check(t, sim)
+		})
+	}
+	t.Run("prefetch", func(t *testing.T) {
+		base, err := cache.NewDirect(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := cache.NewPrefetchCache(base, cache.PrefetchStride, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, p)
+	})
+}
+
 // benchStrided64 prepares a 64-element stride-512 sweep (the paper's
 // canonical vector access) against spec, pre-warmed so the steady state
 // is measured, and reports refs/sec.
@@ -186,9 +241,10 @@ func benchStrided64(b *testing.B, spec cache.Spec, batch bool) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "refs/sec")
 }
 
-// BenchmarkStrided64PrimePerAccess and ...PrimeBatch are the 2× claim:
-// the batched path on the prime-mapped organisation versus the
-// per-access Sim interface for the same 64-element strided sweep.
+// BenchmarkStrided64PrimePerAccess and ...PrimeBatch compare the
+// batched path on the prime-mapped organisation with the per-access Sim
+// interface (a batch of one per call) for the same 64-element strided
+// sweep.
 func BenchmarkStrided64PrimePerAccess(b *testing.B) {
 	benchStrided64(b, cache.Spec{Kind: "prime", C: 13}, false)
 }

@@ -57,9 +57,7 @@ type Cache struct {
 	clock     uint64
 	rng       *rand.Rand
 
-	seen      map[uint64]bool // lines ever referenced (compulsory tracking)
-	shadow    *shadow         // fully-assoc LRU of equal capacity (3C split)
-	evictedBy map[uint64]int  // line → stream that evicted it most recently
+	hist *history // 3C and interference history; nil when DisableClassify
 
 	stats          Stats
 	prefetchWasted uint64 // prefetched lines evicted before demand touch
@@ -85,9 +83,7 @@ func New(cfg Config) (*Cache, error) {
 		c.sets[i] = make([]way, cfg.Ways)
 	}
 	if !cfg.DisableClassify {
-		c.seen = make(map[uint64]bool)
-		c.shadow = newShadow(cfg.Mapper.Sets() * cfg.Ways)
-		c.evictedBy = make(map[uint64]int)
+		c.hist = newHistory(cfg.Mapper.Sets() * cfg.Ways)
 	}
 	return c, nil
 }
@@ -128,10 +124,8 @@ func (c *Cache) Flush() {
 	c.clock = 0
 	c.stats = Stats{}
 	c.prefetchWasted = 0
-	if c.seen != nil {
-		c.seen = make(map[uint64]bool)
-		c.shadow.reset()
-		c.evictedBy = make(map[uint64]int)
+	if c.hist != nil {
+		c.hist.reset()
 	}
 }
 
@@ -166,89 +160,122 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Access simulates one reference and returns its outcome. Both loads and
 // stores allocate (the paper's CC-model assumes writes are buffered and do
-// not stall the pipeline; allocation policy only affects contents).
+// not stall the pipeline; allocation policy only affects contents). It is
+// a batch of one, so AccessBatch is the only implementation of the
+// organisation's semantics.
 func (c *Cache) Access(a Access) Result {
-	c.clock++
-	c.stats.Accesses++
-	if a.Write {
-		c.stats.Writes++
-		if !c.cfg.WriteBack {
-			c.stats.MemoryWrites++
+	accs, out := [1]Access{a}, [1]Result{}
+	c.AccessBatch(accs[:], out[:])
+	return out[0]
+}
+
+// AccessBatch implements BatchSim. Set indices are computed first by a
+// loop specialised on the concrete mapper, so no reference pays a
+// virtual Mapper.Index call; then one loop, for every associativity and
+// policy, hits, misses, classifies and evicts, with the LRU clock in a
+// local written back once per batch.
+func (c *Cache) AccessBatch(accs []Access, out []Result) {
+	if len(accs) == 0 {
+		return
+	}
+	if cap(c.scratch) < len(accs) {
+		c.scratch = make([]int, len(accs))
+	}
+	idx := c.scratch[:len(accs)]
+	shift := c.lineShift
+	switch m := c.cfg.Mapper.(type) {
+	case DirectMapper:
+		mask := m.mask
+		for i := range accs {
+			idx[i] = int((accs[i].Addr >> shift) & mask)
 		}
-	} else {
-		c.stats.Reads++
+	case PrimeMapper:
+		mod := m.mod
+		for i := range accs {
+			idx[i] = int(mod.Reduce(accs[i].Addr >> shift))
+		}
+	case ModuloMapper:
+		sets := uint64(m.sets)
+		for i := range accs {
+			idx[i] = int((accs[i].Addr >> shift) % sets)
+		}
+	default:
+		mp := c.cfg.Mapper
+		for i := range accs {
+			idx[i] = mp.Index(accs[i].Addr >> shift)
+		}
 	}
 
-	line := c.LineAddr(a.Addr)
-	set := c.cfg.Mapper.Index(line)
-	ways := c.sets[set]
-
-	// Shadow/compulsory bookkeeping happens on every access so the 3C
-	// split stays consistent even across hits.
-	var shadowHit, firstRef bool
-	if c.shadow != nil {
-		firstRef = !c.seen[line]
-		c.seen[line] = true
-		shadowHit = c.shadow.touch(line)
-	}
-
-	for i := range ways {
-		if ways[i].valid && ways[i].line == line {
-			ways[i].lastUse = c.clock
-			if a.Write && c.cfg.WriteBack {
-				ways[i].dirty = true
+	clock, st := c.clock, &c.stats
+	wb, h := c.cfg.WriteBack, c.hist
+next:
+	for i := range accs {
+		a := &accs[i]
+		clock++
+		st.Accesses++
+		if a.Write {
+			st.Writes++
+			if !wb {
+				st.MemoryWrites++
 			}
-			c.stats.Hits++
-			return Result{Hit: true, Set: set, Way: i}
+		} else {
+			st.Reads++
 		}
-	}
-
-	// Miss: classify, then fill.
-	c.stats.Misses++
-	res := Result{Set: set}
-	if c.shadow != nil {
-		switch {
-		case firstRef:
-			res.Kind = MissCompulsory
-			c.stats.Compulsory++
-		case shadowHit:
-			res.Kind = MissConflict
-			c.stats.Conflict++
-			if evictor, ok := c.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-				if evictor == a.Stream {
-					res.SelfInterference = true
-					c.stats.SelfInterference++
-				} else {
-					res.CrossInterference = true
-					c.stats.CrossInterference++
+		line := a.Addr >> shift
+		set := idx[i]
+		ways := c.sets[set]
+		for j := range ways {
+			if e := &ways[j]; e.valid && e.line == line {
+				e.lastUse = clock
+				if a.Write && wb {
+					e.dirty = true
 				}
+				st.Hits++
+				if out != nil {
+					out[i] = Result{Hit: true, Set: set, Way: j}
+				}
+				// The shadow sees every reference, hit or miss, so the
+				// 3C split stays consistent.
+				if h != nil {
+					h.observe(line)
+				}
+				continue next
 			}
-		default:
-			res.Kind = MissCapacity
-			c.stats.Capacity++
 		}
-	}
 
-	victim := c.pickVictim(ways)
-	if ways[victim].valid {
-		res.Evicted = true
-		res.EvictedLine = ways[victim].line
-		c.stats.Evictions++
-		if ways[victim].prefetched {
-			c.prefetchWasted++
+		st.Misses++
+		res := Result{Set: set}
+		if h != nil {
+			h.classify(&res, st, line, a.Stream, h.observe(line))
 		}
-		if ways[victim].dirty {
-			c.stats.Writebacks++
-			c.stats.MemoryWrites++
+		victim := 0 // a one-way set's only frame; no policy to consult
+		if len(ways) > 1 {
+			victim = c.pickVictim(ways)
 		}
-		if c.evictedBy != nil {
-			c.evictedBy[ways[victim].line] = a.Stream
+		e := &ways[victim]
+		if e.valid {
+			res.Evicted = true
+			res.EvictedLine = e.line
+			st.Evictions++
+			if e.prefetched {
+				c.prefetchWasted++
+			}
+			if e.dirty {
+				st.Writebacks++
+				st.MemoryWrites++
+			}
+			if h != nil {
+				h.evicted(e.line, a.Stream)
+			}
+		}
+		*e = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock,
+			dirty: a.Write && wb}
+		res.Way = victim
+		if out != nil {
+			out[i] = res
 		}
 	}
-	ways[victim] = way{valid: true, line: line, stream: a.Stream, lastUse: c.clock, filled: c.clock,
-		dirty: a.Write && c.cfg.WriteBack}
-	res.Way = victim
-	return res
+	c.clock = clock
 }
 
 func (c *Cache) pickVictim(ways []way) int {

@@ -149,6 +149,23 @@ func (p *PrefetchCache) Access(a Access) Result {
 	return r
 }
 
+// AccessBatch implements BatchSim: a direct (non-interface) per-access
+// loop. Prefetch installs issued for element i change what element i+1
+// sees, so the prefetcher is inherently sequential; the batch still
+// removes the interface dispatch and Result copy of the generic
+// fallback.
+func (p *PrefetchCache) AccessBatch(accs []Access, out []Result) {
+	if out == nil {
+		for i := range accs {
+			p.Access(accs[i])
+		}
+		return
+	}
+	for i := range accs {
+		out[i] = p.Access(accs[i])
+	}
+}
+
 func (p *PrefetchCache) install(line uint64, stream int) {
 	if p.c.installLine(line, stream) {
 		p.stats.Issued++
@@ -189,8 +206,8 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 		if ways[victim].prefetched {
 			c.prefetchWasted++
 		}
-		if c.evictedBy != nil {
-			c.evictedBy[ways[victim].line] = stream
+		if c.hist != nil {
+			c.hist.evicted(ways[victim].line, stream)
 		}
 	}
 	ways[victim] = way{valid: true, line: line, stream: stream, lastUse: c.clock, filled: c.clock, prefetched: true}

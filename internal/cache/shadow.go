@@ -6,12 +6,12 @@ package cache
 // addresses, no data.
 //
 // The directory is touched on every access of a classifying cache, so it
-// sits on the hot path of both Access and AccessBatch. It therefore avoids
-// the runtime map and per-entry heap nodes: lines live in an open-addressed
-// linear-probe table of int32 indices into a flat node pool, and the
-// recency list is intrusive (int32 prev/next) inside the pool. One touch
-// is one hash probe plus a few int32 writes, with zero steady-state
-// allocation.
+// sits on the hot path of every organisation's AccessBatch loop (and so
+// of Access, a batch of one). It therefore avoids the runtime map and
+// per-entry heap nodes: lines live in an open-addressed linear-probe
+// table of int32 indices into a flat node pool, and the recency list is
+// intrusive (int32 prev/next) inside the pool. One touch is one hash
+// probe plus a few int32 writes, with zero steady-state allocation.
 type shadow struct {
 	capacity int
 
@@ -74,10 +74,10 @@ func (s *shadow) touch(line uint64) bool {
 				reuse = int64(i)
 			}
 		} else if s.nodes[v].line == line {
-			// Splice v to the front, fused here rather than via
-			// moveToFront: v != head implies v has a predecessor, and
-			// v's own links are overwritten, not cleared — the hit path
-			// is the hottest code in a classifying simulation.
+			// Splice v to the front in place rather than via unlink
+			// and pushFront: v != head implies v has a predecessor,
+			// and v's own links are overwritten, not cleared — the hit
+			// path is the hottest code in a classifying simulation.
 			if s.head != v {
 				nd := &s.nodes[v]
 				prev, next := nd.prev, nd.next
@@ -178,14 +178,6 @@ func (s *shadow) unlink(n int32) {
 		s.tail = nd.prev
 	}
 	nd.prev, nd.next = -1, -1
-}
-
-func (s *shadow) moveToFront(n int32) {
-	if s.head == n {
-		return
-	}
-	s.unlink(n)
-	s.pushFront(n)
 }
 
 func (s *shadow) len() int { return s.size }

@@ -23,10 +23,7 @@ type SkewedCache struct {
 	ways      [2][]way
 	clock     uint64
 
-	seen      map[uint64]bool
-	shadow    *shadow
-	evictedBy map[uint64]int
-
+	hist  *history
 	stats Stats
 }
 
@@ -42,9 +39,7 @@ func NewSkewed(lines int) (*SkewedCache, error) {
 		c:         c,
 		mask:      uint64(sets - 1),
 		lineShift: 3, // 8-byte lines, as the paper fixes
-		seen:      make(map[uint64]bool),
-		shadow:    newShadow(lines),
-		evictedBy: make(map[uint64]int),
+		hist:      newHistory(lines),
 	}
 	s.ways[0] = make([]way, sets)
 	s.ways[1] = make([]way, sets)
@@ -67,77 +62,72 @@ func (s *SkewedCache) hash(w int, line uint64) int {
 	return int(low ^ mid)
 }
 
-// Access simulates one reference; the semantics mirror Cache.Access
-// (allocate on read and write, LRU-by-timestamp between the two
-// candidate frames).
+// Access simulates one reference as a batch of one. The semantics follow
+// Cache's: allocate on read and write, LRU-by-timestamp between the two
+// candidate frames.
 func (s *SkewedCache) Access(a Access) Result {
-	s.clock++
-	s.stats.Accesses++
-	if a.Write {
-		s.stats.Writes++
-	} else {
-		s.stats.Reads++
-	}
-	line := a.Addr >> s.lineShift
+	accs, out := [1]Access{a}, [1]Result{}
+	s.AccessBatch(accs[:], out[:])
+	return out[0]
+}
 
-	firstRef := !s.seen[line]
-	s.seen[line] = true
-	shadowHit := s.shadow.touch(line)
-
-	idx := [2]int{s.hash(0, line), s.hash(1, line)}
-	for w := 0; w < 2; w++ {
-		e := &s.ways[w][idx[w]]
-		if e.valid && e.line == line {
-			e.lastUse = s.clock
-			s.stats.Hits++
-			return Result{Hit: true, Set: idx[w], Way: w}
+// AccessBatch implements BatchSim: two XOR hash probes, the recency
+// compare between the two candidate frames, and the shared 3C
+// classification, with the clock in a local written back once.
+func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
+	clock, st, h := s.clock, &s.stats, s.hist
+	for i := range accs {
+		a := &accs[i]
+		clock++
+		st.Accesses++
+		if a.Write {
+			st.Writes++
+		} else {
+			st.Reads++
 		}
-	}
+		line := a.Addr >> s.lineShift
+		kind := h.observe(line)
 
-	s.stats.Misses++
-	res := Result{}
-	switch {
-	case firstRef:
-		res.Kind = MissCompulsory
-		s.stats.Compulsory++
-	case shadowHit:
-		res.Kind = MissConflict
-		s.stats.Conflict++
-		if evictor, ok := s.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-			if evictor == a.Stream {
-				res.SelfInterference = true
-				s.stats.SelfInterference++
-			} else {
-				res.CrossInterference = true
-				s.stats.CrossInterference++
+		i0, i1 := s.hash(0, line), s.hash(1, line)
+		e0, e1 := &s.ways[0][i0], &s.ways[1][i1]
+		if e0.valid && e0.line == line {
+			e0.lastUse = clock
+			st.Hits++
+			if out != nil {
+				out[i] = Result{Hit: true, Set: i0, Way: 0}
 			}
+			continue
 		}
-	default:
-		res.Kind = MissCapacity
-		s.stats.Capacity++
-	}
+		if e1.valid && e1.line == line {
+			e1.lastUse = clock
+			st.Hits++
+			if out != nil {
+				out[i] = Result{Hit: true, Set: i1, Way: 1}
+			}
+			continue
+		}
 
-	// Victim: an invalid frame if either candidate is free, else the
-	// least recently used of the two.
-	w := 0
-	switch {
-	case !s.ways[0][idx[0]].valid:
-		w = 0
-	case !s.ways[1][idx[1]].valid:
-		w = 1
-	case s.ways[1][idx[1]].lastUse < s.ways[0][idx[0]].lastUse:
-		w = 1
+		st.Misses++
+		res := Result{Set: i0}
+		h.classify(&res, st, line, a.Stream, kind)
+		// Victim: an invalid frame if either candidate is free, else the
+		// least recently used of the two.
+		victim := e0
+		if e0.valid && (!e1.valid || e1.lastUse < e0.lastUse) {
+			victim, res.Set, res.Way = e1, i1, 1
+		}
+		if victim.valid {
+			res.Evicted = true
+			res.EvictedLine = victim.line
+			st.Evictions++
+			h.evicted(victim.line, a.Stream)
+		}
+		*victim = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock}
+		if out != nil {
+			out[i] = res
+		}
 	}
-	victim := &s.ways[w][idx[w]]
-	if victim.valid {
-		res.Evicted = true
-		res.EvictedLine = victim.line
-		s.stats.Evictions++
-		s.evictedBy[victim.line] = a.Stream
-	}
-	*victim = way{valid: true, line: line, stream: a.Stream, lastUse: s.clock, filled: s.clock}
-	res.Set, res.Way = idx[w], w
-	return res
+	s.clock = clock
 }
 
 // Describe returns a short human-readable description.
@@ -154,7 +144,5 @@ func (s *SkewedCache) Flush() {
 	}
 	s.clock = 0
 	s.stats = Stats{}
-	s.seen = make(map[uint64]bool)
-	s.shadow.reset()
-	s.evictedBy = make(map[uint64]int)
+	s.hist.reset()
 }

@@ -65,32 +65,61 @@ func (v *VictimCache) CombinedMissRatio() float64 {
 	return float64(v.misses) / float64(acc)
 }
 
-// Access performs one reference: main cache first, then the buffer.
+// Access performs one reference, main array first, then the buffer, as
+// a batch of one.
 func (v *VictimCache) Access(a Access) Result {
-	v.clock++
-	line := v.main.LineAddr(a.Addr)
-	r := v.main.Access(a)
-	if r.Hit {
-		return r
+	accs, out := [1]Access{a}, [1]Result{}
+	v.AccessBatch(accs[:], out[:])
+	return out[0]
+}
+
+// AccessBatch implements BatchSim. The main array runs its own batch
+// fast path first; the victim-buffer bookkeeping then replays the
+// per-access outcomes in order. The buffer never influences the main
+// array's state, so splitting the two phases is observably identical
+// to interleaving them per access.
+func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
+	if len(accs) == 0 {
+		return
 	}
-	// The main access evicted r.EvictedLine (if any) and installed the
-	// new line. Park the evicted line in the buffer.
-	if r.Evicted {
-		v.insert(r.EvictedLine, a.Stream)
+	if cap(v.scratch) < len(accs) {
+		v.scratch = make([]Result, len(accs))
 	}
-	// Did the buffer hold the requested line? Then this miss is a swap
-	// hit: remove it from the buffer (it now lives in the main array).
+	res := v.scratch[:len(accs)]
+	v.main.AccessBatch(accs, res)
+	for i := range accs {
+		v.clock++
+		r := res[i]
+		if !r.Hit {
+			// The main array evicted r.EvictedLine (if any) and installed
+			// the new line: park the evicted line in the buffer. If the
+			// buffer held the requested line, the miss is a swap hit and
+			// the line leaves the buffer (it now lives in the main array).
+			if r.Evicted {
+				v.insert(r.EvictedLine, accs[i].Stream)
+			}
+			if v.take(v.main.LineAddr(accs[i].Addr)) {
+				v.hits++
+				r.Hit, r.Kind = true, MissNone // report the combined outcome
+			} else {
+				v.misses++
+			}
+		}
+		if out != nil {
+			out[i] = r
+		}
+	}
+}
+
+// take removes line from the buffer and reports whether it was there.
+func (v *VictimCache) take(line uint64) bool {
 	for i := range v.buf {
 		if v.buf[i].valid && v.buf[i].line == line {
 			v.buf[i].valid = false
-			v.hits++
-			r.Hit = true // report the combined outcome
-			r.Kind = MissNone
-			return r
+			return true
 		}
 	}
-	v.misses++
-	return r
+	return false
 }
 
 func (v *VictimCache) insert(line uint64, stream int) {
