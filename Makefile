@@ -1,6 +1,7 @@
 # Development and CI entry points. `make ci` is the gate every PR must
-# pass: vet, the full test suite, the concurrency-sensitive packages
-# under the race detector, a fuzz smoke pass over every fuzz target, and
+# pass: a gofmt check, vet, the full test suite, the
+# concurrency-sensitive packages under the race detector, a fuzz smoke
+# pass over every fuzz target, one iteration of every go benchmark, and
 # a bounded differential-oracle campaign (see internal/oracle and
 # TUTORIAL.md "Verifying the simulator").
 
@@ -18,7 +19,7 @@ FUZZTIME ?= 10s
 # Seeded fault schedules per `make chaos` run (see internal/sim/chaos).
 CHAOS_SCHEDULES ?= 50
 
-.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench bench-go bench-smoke oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update ci
+.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench-go fmt-check oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update ci
 
 build:
 	$(GO) build ./...
@@ -52,24 +53,17 @@ cluster-test:
 stress:
 	$(GO) test -race -count=1 -run 'Overload|Shed|Cancel|Degrad|Envelope|Partial' ./internal/server/... ./internal/client/...
 
-# Benchmark-regression harness (see internal/bench and EXPERIMENTS.md
-# "Performance tracking"): `make bench` measures the pinned scenario
-# suite and writes a BENCH_*.json report; compare against the committed
-# baseline with `go run ./cmd/primebench compare BENCH_0.json <report>`.
-# `make bench-smoke` runs every scenario once (including the
-# cluster/sweep-scatter 3-node scenario) — a cheap CI check that the
-# suite itself still works.
-BENCH_OUT ?= BENCH_local.json
-
-bench:
-	$(GO) run ./cmd/primebench bench -out $(BENCH_OUT)
-
-bench-smoke:
-	$(GO) run ./cmd/primebench bench -smoke > /dev/null
-
-# The go-test microbenchmarks (single iteration, compile-and-run check).
+# The go-test microbenchmarks (single iteration, compile-and-run check),
+# among them BenchmarkStrided64's batch and per-access rows for every
+# cache organisation. Measured runs: `go test -bench=<name> -count=N`;
+# the end-to-end benchmark is `bash perfbench/run.sh` (EXPERIMENTS.md
+# "Performance tracking").
 bench-go:
 	$(GO) test -bench=. -benchtime=1x -run=NONE ./...
+
+# Formatting gate: fails when any Go file in the tree is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Bounded differential campaign: seeded traces through every cache
 # organisation's fast simulator and its slow-but-obviously-correct
@@ -141,4 +135,4 @@ golden-update:
 	$(GO) test ./internal/report/ ./cmd/figures/ -update
 	$(GO) test ./internal/server/ -run Golden -update
 
-ci: vet build test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-smoke
+ci: fmt-check vet build test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-go

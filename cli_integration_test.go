@@ -249,20 +249,5 @@ func TestCLIIntegration(t *testing.T) {
 				t.Errorf("primebench missing %q:\n%s", want, out)
 			}
 		}
-		// Regression-harness subcommands: list, a smoke bench run over
-		// the cache scenarios, and a self-comparison of the report.
-		out = runTool(t, bin, "", "list")
-		if !strings.Contains(out, "cache/prime/strided64/batch") {
-			t.Errorf("primebench list missing the batch scenario:\n%s", out)
-		}
-		bf := filepath.Join(dir, "BENCH_it.json")
-		runTool(t, bin, "", "bench", "-smoke", "-run", "^cache/", "-out", bf)
-		if data, err := os.ReadFile(bf); err != nil || !strings.Contains(string(data), `"schemaVersion": 1`) {
-			t.Errorf("bench report: %v\n%s", err, data)
-		}
-		out = runTool(t, bin, "", "compare", bf, bf)
-		if !strings.Contains(out, "ok:") {
-			t.Errorf("self-comparison did not pass:\n%s", out)
-		}
 	})
 }

@@ -1,52 +1,24 @@
-// Command primebench is the repo's performance front door. With no
-// subcommand it runs the kernel benchmark suite — SAXPY, blocked matrix
-// multiply, blocked LU, the four-step FFT, blocked transpose, a 5-point
-// stencil, and conjugate gradient, all computing real results — against
-// six cache organisations and prints the miss and conflict matrices.
+// Command primebench runs the kernel benchmark suite — SAXPY, blocked
+// matrix multiply, blocked LU, the four-step FFT, blocked transpose, a
+// 5-point stencil, and conjugate gradient, all computing real results —
+// against six cache organisations and prints the miss and conflict
+// matrices.
 //
-// Subcommands turn it into a benchmark-regression harness over the
-// pinned scenario suite in internal/bench:
-//
-//	primebench bench   [-out FILE] [-smoke] [-benchtime D] [-run RE]
-//	primebench compare [-tol PCT] OLD.json NEW.json
-//	primebench list
-//
-// `bench` measures every scenario and emits a BENCH_*.json report
-// (ns/op, B/op, allocs/op, refs/sec, git SHA, date); `compare` diffs two
-// reports and exits non-zero when any scenario regressed beyond the
-// tolerance or disappeared.
+// Simulator speed is measured elsewhere: `go test -bench` for the
+// microbenchmarks and `bash perfbench/run.sh` for the end-to-end
+// benchmark (see EXPERIMENTS.md "Performance tracking").
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"regexp"
-	"strings"
-	"time"
 
-	"primecache/internal/bench"
 	"primecache/internal/experiments"
 	"primecache/internal/report"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "bench":
-			os.Exit(runBench(os.Args[2:]))
-		case "compare":
-			os.Exit(runCompare(os.Args[2:]))
-		case "list":
-			os.Exit(runList())
-		}
-	}
-	runKernels()
-}
-
-// runKernels is the original flag-driven kernel-matrix interface.
-func runKernels() {
 	conflicts := flag.Bool("conflicts", false, "print conflict-miss counts instead of miss ratios")
 	both := flag.Bool("both", false, "print both matrices")
 	md := flag.Bool("md", false, "emit Markdown")
@@ -72,125 +44,4 @@ func runKernels() {
 	if *both || *conflicts {
 		emit(experiments.KernelConflictTable())
 	}
-}
-
-func runBench(args []string) int {
-	fs := flag.NewFlagSet("primebench bench", flag.ExitOnError)
-	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
-	smoke := fs.Bool("smoke", false, "one iteration per scenario: validates the suite, numbers are meaningless")
-	benchtime := fs.Duration("benchtime", 250*time.Millisecond, "minimum measuring time per scenario")
-	run := fs.String("run", "", "regexp selecting scenario names")
-	fs.Parse(args)
-
-	scenarios := bench.Suite()
-	if *run != "" {
-		re, err := regexp.Compile(*run)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "primebench:", err)
-			return 2
-		}
-		kept := scenarios[:0]
-		for _, s := range scenarios {
-			if re.MatchString(s.Name) {
-				kept = append(kept, s)
-			}
-		}
-		scenarios = kept
-	}
-	if len(scenarios) == 0 {
-		fmt.Fprintln(os.Stderr, "primebench: no scenarios match")
-		return 2
-	}
-
-	opt := bench.Options{MinTime: *benchtime}
-	if *smoke {
-		opt.MinTime = 0
-	}
-	rep, err := bench.Run(scenarios, opt, func(r bench.Result) {
-		fmt.Fprintf(os.Stderr, "%-40s %12.1f ns/op %10.0f B/op %8.1f allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		if r.RefsPerSec > 0 {
-			fmt.Fprintf(os.Stderr, " %14.0f refs/s", r.RefsPerSec)
-		}
-		fmt.Fprintln(os.Stderr)
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "primebench:", err)
-		return 1
-	}
-	rep.GitSHA = gitSHA()
-	rep.Date = time.Now().UTC().Format(time.RFC3339)
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "primebench:", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.WriteJSON(w); err != nil {
-		fmt.Fprintln(os.Stderr, "primebench:", err)
-		return 1
-	}
-	return 0
-}
-
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("primebench compare", flag.ExitOnError)
-	tol := fs.Float64("tol", 15, "ns/op regression tolerance in percent")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: primebench compare [-tol PCT] OLD.json NEW.json")
-		return 2
-	}
-	old, err := bench.ReadReport(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "primebench:", err)
-		return 2
-	}
-	new, err := bench.ReadReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "primebench:", err)
-		return 2
-	}
-
-	c := bench.CompareReports(old, new)
-	for _, d := range c.Deltas {
-		mark := ""
-		if d.NsPct > *tol {
-			mark = "  REGRESSED"
-		}
-		fmt.Printf("%-40s %12.1f → %12.1f ns/op  %+7.1f%%%s\n", d.Name, d.Old.NsPerOp, d.New.NsPerOp, d.NsPct, mark)
-	}
-	for _, name := range c.Missing {
-		fmt.Printf("%-40s MISSING from %s\n", name, fs.Arg(1))
-	}
-	for _, name := range c.Added {
-		fmt.Printf("%-40s added (no baseline)\n", name)
-	}
-	if regs := c.Regressions(*tol); c.Failed(*tol) {
-		fmt.Printf("FAIL: %d regression(s) beyond %.0f%%, %d missing scenario(s)\n", len(regs), *tol, len(c.Missing))
-		return 1
-	}
-	fmt.Printf("ok: %d scenario(s) within %.0f%% of baseline\n", len(c.Deltas), *tol)
-	return 0
-}
-
-func runList() int {
-	for _, s := range bench.Suite() {
-		fmt.Println(s.Name)
-	}
-	return 0
-}
-
-// gitSHA stamps the report with the current commit; empty (and omitted
-// from the JSON) when git or the work tree is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

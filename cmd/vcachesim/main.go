@@ -150,4 +150,3 @@ func printStats(vc *core.VectorCache, pattern string, passes, refsPerPass int, a
 		fmt.Printf("mersenne adder steps: %d\n", vc.AdderSteps())
 	}
 }
-

@@ -208,10 +208,10 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 }
 
 // benchStrided64 prepares a 64-element stride-512 sweep (the paper's
-// canonical vector access) against spec, pre-warmed so the steady state
-// is measured, and reports refs/sec.
-func benchStrided64(b *testing.B, spec cache.Spec, batch bool) {
-	sim, err := spec.Build()
+// canonical vector access) against the cache build returns, pre-warmed
+// so the steady state is measured, and reports refs/sec.
+func benchStrided64(b *testing.B, build func() (cache.Sim, error), batch bool) {
+	sim, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func benchStrided64(b *testing.B, spec cache.Spec, batch bool) {
 	if batch {
 		bs, ok := sim.(cache.BatchSim)
 		if !ok {
-			b.Fatalf("%s does not implement BatchSim", spec)
+			b.Fatalf("%T does not implement BatchSim", sim)
 		}
 		for i := 0; i < b.N; i++ {
 			bs.AccessBatch(accs, nil)
@@ -241,22 +241,30 @@ func benchStrided64(b *testing.B, spec cache.Spec, batch bool) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "refs/sec")
 }
 
-// BenchmarkStrided64PrimePerAccess and ...PrimeBatch compare the
-// batched path on the prime-mapped organisation with the per-access Sim
+// BenchmarkStrided64 compares the batched path with the per-access Sim
 // interface (a batch of one per call) for the same 64-element strided
-// sweep.
-func BenchmarkStrided64PrimePerAccess(b *testing.B) {
-	benchStrided64(b, cache.Spec{Kind: "prime", C: 13}, false)
-}
-
-func BenchmarkStrided64PrimeBatch(b *testing.B) {
-	benchStrided64(b, cache.Spec{Kind: "prime", C: 13}, true)
-}
-
-func BenchmarkStrided64DirectPerAccess(b *testing.B) {
-	benchStrided64(b, cache.Spec{Kind: "direct", Lines: 8192}, false)
-}
-
-func BenchmarkStrided64DirectBatch(b *testing.B) {
-	benchStrided64(b, cache.Spec{Kind: "direct", Lines: 8192}, true)
+// sweep on each organisation, including the stride-prefetching wrapper
+// over a small direct-mapped cache, which Spec.Build cannot assemble.
+func BenchmarkStrided64(b *testing.B) {
+	orgs := []struct {
+		name  string
+		build func() (cache.Sim, error)
+	}{
+		{"prime", cache.Spec{Kind: "prime", C: 13}.Build},
+		{"direct", cache.Spec{Kind: "direct", Lines: 8192}.Build},
+		{"assoc", cache.Spec{Kind: "assoc", Lines: 8192, Ways: 4}.Build},
+		{"skewed", cache.Spec{Kind: "skewed", Lines: 8192}.Build},
+		{"victim", cache.Spec{Kind: "victim", Lines: 8192}.Build},
+		{"prefetch", func() (cache.Sim, error) {
+			base, err := cache.NewDirect(256)
+			if err != nil {
+				return nil, err
+			}
+			return cache.NewPrefetchCache(base, cache.PrefetchStride, 2)
+		}},
+	}
+	for _, org := range orgs {
+		b.Run(org.name+"/batch", func(b *testing.B) { benchStrided64(b, org.build, true) })
+		b.Run(org.name+"/access", func(b *testing.B) { benchStrided64(b, org.build, false) })
+	}
 }

@@ -8,10 +8,6 @@ import (
 	"primecache/internal/server"
 )
 
-// promContentType mirrors the server's exposition version so a scraper
-// cannot tell a coordinator from a single node by the handshake.
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
 // PromFamilies renders the coordinator's own counters plus one sample
 // per backend (labeled backend=<url>) for the routing-layer families.
 // The coordinator has no Metrics registry — its counters are raw fields
@@ -63,21 +59,9 @@ func (c *Coordinator) PromFamilies() []obs.Family {
 		reqs.Samples = append(reqs.Samples, obs.Sample{Labels: label, Value: float64(b.requests.Value())})
 		fails.Samples = append(fails.Samples, obs.Sample{Labels: label, Value: float64(b.failures.Value())})
 		inflight.Samples = append(inflight.Samples, obs.Sample{Labels: label, Value: float64(b.inflight.Value())})
-		latency.Samples = append(latency.Samples, obs.Sample{Labels: label, Hist: promHist(b.latency.Snapshot())})
+		latency.Samples = append(latency.Samples, obs.Sample{Labels: label, Hist: b.latency.Snapshot().PromHist()})
 	}
 	return append(fams, reqs, fails, inflight, latency)
-}
-
-// promHist re-derives the full cumulative ladder from a sparse latency
-// snapshot, bounds scaled from microseconds to seconds (the server
-// keeps an identical converter for its registry histograms).
-func promHist(s server.HistogramSnapshot) *obs.HistValue {
-	uppersUs, cum := s.Cumulative()
-	edges := make([]float64, len(uppersUs))
-	for i, us := range uppersUs {
-		edges[i] = float64(us) / 1e6
-	}
-	return &obs.HistValue{Edges: edges, CumCounts: cum, Sum: float64(s.SumUs) / 1e6}
 }
 
 // handleMetrics serves the coordinator's families in the Prometheus
@@ -88,7 +72,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, server.Errf(server.CodeInternal, "rendering metrics: %v", err))
 		return
 	}
-	w.Header().Set("Content-Type", promContentType)
+	w.Header().Set("Content-Type", obs.PromContentType)
 	w.Write(buf.Bytes())
 }
 

@@ -37,8 +37,8 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Content-Type"); got != promContentType {
-		t.Fatalf("/metrics content type = %q, want %q", got, promContentType)
+	if got := resp.Header.Get("Content-Type"); got != obs.PromContentType {
+		t.Fatalf("/metrics content type = %q, want %q", got, obs.PromContentType)
 	}
 	if err := obs.CheckExposition(body); err != nil {
 		t.Fatalf("coordinator /metrics is not valid Prometheus text: %v\n%s", err, body)

@@ -124,6 +124,10 @@ func labelString(labels []Label, extra ...Label) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// PromContentType is the Content-Type of the exposition WriteProm
+// renders, the one every /metrics endpoint serves.
+const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // WriteProm renders families in the Prometheus text exposition format
 // (version 0.0.4): families sorted by name, one HELP and TYPE line
 // each, histograms expanded into _bucket/_sum/_count series with an

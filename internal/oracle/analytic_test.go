@@ -19,25 +19,25 @@ func TestStridedAnalyticDirected(t *testing.T) {
 		n      int
 		passes int
 	}
-	prime5 := cache.Spec{Kind: "prime", C: 5}    // C = 31
-	prime7 := cache.Spec{Kind: "prime", C: 7}    // C = 127
+	prime5 := cache.Spec{Kind: "prime", C: 5} // C = 31
+	prime7 := cache.Spec{Kind: "prime", C: 7} // C = 127
 	direct := cache.Spec{Kind: "direct", Lines: 64}
 	cases := []tc{
-		{prime5, 0, 1, 31, 3},      // unit stride, n = C: conflict-free fill
-		{prime5, 0, 1, 32, 3},      // n = C+1: capacity regime
-		{prime5, 100, 31, 10, 3},   // stride = C: one-set orbit
-		{prime5, 100, 62, 40, 2},   // stride = 2C, n > C
-		{prime5, 7, 32, 31, 3},     // stride = C+1 ≡ 1: conflict-free
-		{prime5, 7, 8, 31, 2},      // power-of-two stride, prime C: coprime
-		{prime7, 0, 64, 127, 3},    // 2^6 stride over 127 sets
-		{prime7, 0, 64, 128, 2},    // same, one past capacity
-		{direct, 0, 1, 64, 3},      // unit stride fills direct cache
-		{direct, 0, 16, 64, 3},     // 2^4 stride folds onto 4 sets
-		{direct, 0, 16, 6, 2},      // fold, n > o with q=1 remainder
-		{direct, 5, 64, 9, 3},      // stride = C: one set
+		{prime5, 0, 1, 31, 3},         // unit stride, n = C: conflict-free fill
+		{prime5, 0, 1, 32, 3},         // n = C+1: capacity regime
+		{prime5, 100, 31, 10, 3},      // stride = C: one-set orbit
+		{prime5, 100, 62, 40, 2},      // stride = 2C, n > C
+		{prime5, 7, 32, 31, 3},        // stride = C+1 ≡ 1: conflict-free
+		{prime5, 7, 8, 31, 2},         // power-of-two stride, prime C: coprime
+		{prime7, 0, 64, 127, 3},       // 2^6 stride over 127 sets
+		{prime7, 0, 64, 128, 2},       // same, one past capacity
+		{direct, 0, 1, 64, 3},         // unit stride fills direct cache
+		{direct, 0, 16, 64, 3},        // 2^4 stride folds onto 4 sets
+		{direct, 0, 16, 6, 2},         // fold, n > o with q=1 remainder
+		{direct, 5, 64, 9, 3},         // stride = C: one set
 		{direct, 1 << 19, -3, 100, 2}, // backwards sweep
-		{prime5, 9, 5, 1, 2},       // single element
-		{direct, 3, 96, 130, 2},    // non-power-of-two stride, n > C
+		{prime5, 9, 5, 1, 2},          // single element
+		{direct, 3, 96, 130, 2},       // non-power-of-two stride, n > C
 	}
 	for _, c := range cases {
 		if err := VerifyStridedAnalytic(c.spec, c.start, c.stride, c.n, c.passes, 1); err != nil {

@@ -8,10 +8,6 @@ import (
 	"primecache/internal/obs"
 )
 
-// promContentType is the Prometheus text exposition format version the
-// /metrics endpoints speak.
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
 // PromFamilies renders the registry as Prometheus metric families:
 // every counter becomes vcached_<name>_total, every gauge
 // vcached_<name>, and every latency histogram vcached_<name>_seconds
@@ -43,7 +39,7 @@ func (m *Metrics) PromFamilies() []obs.Family {
 			Name:    "vcached_" + obs.MetricName(name) + "_seconds",
 			Help:    "Latency histogram " + name + " in seconds.",
 			Kind:    obs.KindHistogram,
-			Samples: []obs.Sample{{Hist: promHist(snap.Latencies[name])}},
+			Samples: []obs.Sample{{Hist: snap.Latencies[name].PromHist()}},
 		})
 	}
 	fams = append(fams, obs.Family{
@@ -55,10 +51,11 @@ func (m *Metrics) PromFamilies() []obs.Family {
 	return fams
 }
 
-// promHist converts one histogram snapshot into exposition form: the
-// microsecond ladder re-derived by Cumulative, bounds scaled to
-// seconds.
-func promHist(s HistogramSnapshot) *obs.HistValue {
+// PromHist converts the snapshot into exposition form: the microsecond
+// ladder re-derived by Cumulative, bounds scaled to seconds. Both the
+// server's registry and the coordinator's per-backend histograms
+// render through it.
+func (s HistogramSnapshot) PromHist() *obs.HistValue {
 	uppersUs, cum := s.Cumulative()
 	edges := make([]float64, len(uppersUs))
 	for i, us := range uppersUs {
@@ -109,7 +106,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, Errf(CodeInternal, "rendering metrics: %v", err))
 		return
 	}
-	w.Header().Set("Content-Type", promContentType)
+	w.Header().Set("Content-Type", obs.PromContentType)
 	w.Write(buf.Bytes())
 }
 

@@ -74,8 +74,8 @@ func TestMetricsGolden(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics status = %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Content-Type"); got != promContentType {
-		t.Fatalf("/metrics content type = %q, want %q", got, promContentType)
+	if got := resp.Header.Get("Content-Type"); got != obs.PromContentType {
+		t.Fatalf("/metrics content type = %q, want %q", got, obs.PromContentType)
 	}
 	if err := obs.CheckExposition(body); err != nil {
 		t.Fatalf("/metrics is not valid Prometheus text format: %v", err)

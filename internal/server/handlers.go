@@ -361,7 +361,7 @@ type StatsResponse struct {
 	// Partial accounts work burned by jobs that were cancelled or timed
 	// out mid-simulation: how many jobs stopped early and how many
 	// references they had completed when they stopped.
-	Partial PartialBlock   `json:"partial"`
+	Partial PartialBlock    `json:"partial"`
 	Metrics MetricsSnapshot `json:"metrics"`
 }
 
