@@ -157,7 +157,9 @@ func TestAccessBatchPrefetch(t *testing.T) {
 // TestAccessSteadyStateAllocs proves that Access, a batch of one over
 // stack arrays, allocates nothing once the cache is warm, for every Spec
 // organisation and for a PrefetchCache. An allocation per call here means
-// the one-element arrays escaped to the heap.
+// the one-element arrays escaped to the heap. It then proves that a warm
+// cache is reused without allocating: Flush followed by a replay round
+// allocates nothing, so Flush kept every table's capacity.
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	// Two streams, a conflict-heavy stride-512 sweep and a unit-stride
 	// sweep with stores, so the hit, miss and eviction paths all run.
@@ -181,6 +183,15 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: steady-state Access allocates %v times per call, want 0", sim.Describe(), allocs)
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			sim.Flush()
+			for _, a := range accs {
+				sim.Access(a)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Flush and a replay round allocate %v times, want 0", sim.Describe(), allocs)
 		}
 	}
 	g := oracle.NewGen(batchSeed + 2)

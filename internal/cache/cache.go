@@ -38,24 +38,31 @@ type Result struct {
 	CrossInterference bool
 }
 
+// way is one line frame, 24 bytes: the flags share the last word.
 type way struct {
+	line uint64
+	// stamp orders the frames of a set for replacement: the clock of
+	// the last use under LRU, of the fill under FIFO. Either way the
+	// victim is the valid frame with the least stamp.
+	stamp      uint64
 	valid      bool
-	line       uint64
-	stream     int    // stream of the access that filled the line
-	lastUse    uint64 // LRU timestamp
-	filled     uint64 // FIFO timestamp
-	prefetched bool   // filled by a prefetch, not yet demand-touched
-	dirty      bool   // written since fill (write-back mode)
+	prefetched bool // filled by a prefetch, not yet demand-touched
+	dirty      bool // written since fill (write-back mode)
 }
 
 // Cache is a set-associative cache simulator; see package documentation.
 // It is not safe for concurrent use.
+//
+// New backs every set with one frame array. Flush clears the frames and
+// the classification history in place, keeping every table's capacity,
+// so a flushed cache reused for a job no larger than an earlier one
+// allocates nothing.
 type Cache struct {
 	cfg       Config
 	lineShift uint
-	sets      [][]way
+	frames    []way // set s is frames[s*cfg.Ways : (s+1)*cfg.Ways]
 	clock     uint64
-	rng       *rand.Rand
+	rng       *rand.Rand // Random policy only
 
 	hist *history // 3C and interference history; nil when DisableClassify
 
@@ -76,11 +83,10 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		sets:      make([][]way, cfg.Mapper.Sets()),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		frames:    make([]way, cfg.Mapper.Sets()*cfg.Ways),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
+	if cfg.Policy == Random {
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	if !cfg.DisableClassify {
 		c.hist = newHistory(cfg.Mapper.Sets() * cfg.Ways)
@@ -114,13 +120,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and clears statistics and classification
-// history.
+// history, in place: nothing is reallocated. The Random policy's source
+// keeps its state.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
+	clear(c.frames)
 	c.clock = 0
 	c.stats = Stats{}
 	c.prefetchWasted = 0
@@ -133,14 +136,18 @@ func (c *Cache) Flush() {
 // line size.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
+// set returns the frames of set i.
+func (c *Cache) set(i int) []way {
+	lo, hi := i*c.cfg.Ways, (i+1)*c.cfg.Ways
+	return c.frames[lo:hi:hi]
+}
+
 // Utilization returns the fraction of lines currently valid.
 func (c *Cache) Utilization() float64 {
 	valid := 0
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			if c.sets[i][j].valid {
-				valid++
-			}
+	for i := range c.frames {
+		if c.frames[i].valid {
+			valid++
 		}
 	}
 	return float64(valid) / float64(c.Lines())
@@ -149,9 +156,8 @@ func (c *Cache) Utilization() float64 {
 // Contains reports whether the line holding byte address addr is cached.
 func (c *Cache) Contains(addr uint64) bool {
 	line := c.LineAddr(addr)
-	set := c.cfg.Mapper.Index(line)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].line == line {
+	for _, w := range c.set(c.cfg.Mapper.Index(line)) {
+		if w.valid && w.line == line {
 			return true
 		}
 	}
@@ -207,7 +213,8 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	}
 
 	clock, st := c.clock, &c.stats
-	wb, h := c.cfg.WriteBack, c.hist
+	wb, h, nw := c.cfg.WriteBack, c.hist, c.cfg.Ways
+	restamp := c.cfg.Policy != FIFO // a hit is a use; FIFO keeps fill order
 next:
 	for i := range accs {
 		a := &accs[i]
@@ -223,10 +230,12 @@ next:
 		}
 		line := a.Addr >> shift
 		set := idx[i]
-		ways := c.sets[set]
+		ways := c.frames[set*nw : set*nw+nw : set*nw+nw]
 		for j := range ways {
 			if e := &ways[j]; e.valid && e.line == line {
-				e.lastUse = clock
+				if restamp {
+					e.stamp = clock
+				}
 				if a.Write && wb {
 					e.dirty = true
 				}
@@ -268,8 +277,7 @@ next:
 				h.evicted(e.line, a.Stream)
 			}
 		}
-		*e = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock,
-			dirty: a.Write && wb}
+		*e = way{valid: true, line: line, stamp: clock, dirty: a.Write && wb}
 		res.Way = victim
 		if out != nil {
 			out[i] = res
@@ -284,26 +292,16 @@ func (c *Cache) pickVictim(ways []way) int {
 			return i
 		}
 	}
-	switch c.cfg.Policy {
-	case FIFO:
-		oldest := 0
-		for i := 1; i < len(ways); i++ {
-			if ways[i].filled < ways[oldest].filled {
-				oldest = i
-			}
-		}
-		return oldest
-	case Random:
+	if c.cfg.Policy == Random {
 		return c.rng.Intn(len(ways))
-	default: // LRU
-		lru := 0
-		for i := 1; i < len(ways); i++ {
-			if ways[i].lastUse < ways[lru].lastUse {
-				lru = i
-			}
-		}
-		return lru
 	}
+	oldest := 0 // least recently used (LRU) or filled (FIFO)
+	for i := 1; i < len(ways); i++ {
+		if ways[i].stamp < ways[oldest].stamp {
+			oldest = i
+		}
+	}
+	return oldest
 }
 
 // Describe returns a short human-readable description of the organisation.

@@ -159,6 +159,22 @@ func TestSelfVsCrossInterference(t *testing.T) {
 	if s.CrossInterference != 1 || s.SelfInterference != 0 {
 		t.Errorf("stats cross/self = %d/%d, want 1/0", s.CrossInterference, s.SelfInterference)
 	}
+	// Streams beyond int32 are compared whole: 5 and 5+2^32 share
+	// their low 32 bits but are different streams, and 5+2^32 against
+	// itself is self-interference.
+	const wide = 5 + 1<<32
+	for _, tc := range []struct {
+		evictor, missing int
+		self             bool
+	}{{wide, 5, false}, {5, wide, false}, {wide, wide, true}} {
+		c3, _ := NewDirect(4)
+		readWord(c3, 0, tc.missing)
+		readWord(c3, 4, tc.evictor)
+		r = readWord(c3, 0, tc.missing)
+		if r.SelfInterference != tc.self || r.CrossInterference == tc.self {
+			t.Errorf("stream %d evicted by %d: %+v, want self-interference %v", tc.missing, tc.evictor, r, tc.self)
+		}
+	}
 }
 
 func TestStreamNoneNotAttributed(t *testing.T) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -65,23 +66,33 @@ func (c Config) validate() error {
 	if c.Mapper == nil {
 		return fmt.Errorf("cache: Config.Mapper is nil")
 	}
-	if c.Mapper.Sets() <= 0 {
-		return fmt.Errorf("cache: mapper reports %d sets", c.Mapper.Sets())
+	return checkShape(c.Mapper.Sets(), c.Ways, c.LineBytes, c.Policy)
+}
+
+// checkShape is Config.validate on a mapper's set count rather than the
+// mapper, so Spec.Validate can run New's checks without converting a
+// mapper to the Mapper interface, which allocates.
+func checkShape(sets, ways, lineBytes int, policy Policy) error {
+	if sets <= 0 {
+		return fmt.Errorf("cache: mapper reports %d sets", sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache: Ways must be positive, got %d", c.Ways)
+	if ways <= 0 {
+		return fmt.Errorf("cache: Ways must be positive, got %d", ways)
 	}
-	lb := c.LineBytes
+	if ways > math.MaxInt/sets {
+		return fmt.Errorf("cache: %d sets × %d ways overflows the frame count", sets, ways)
+	}
+	lb := lineBytes
 	if lb == 0 {
 		lb = DefaultLineBytes
 	}
 	if lb < 1 || bits.OnesCount(uint(lb)) != 1 {
-		return fmt.Errorf("cache: LineBytes must be a power of two, got %d", c.LineBytes)
+		return fmt.Errorf("cache: LineBytes must be a power of two, got %d", lineBytes)
 	}
-	switch c.Policy {
+	switch policy {
 	case LRU, FIFO, Random:
 	default:
-		return fmt.Errorf("cache: unknown policy %d", int(c.Policy))
+		return fmt.Errorf("cache: unknown policy %d", int(policy))
 	}
 	return nil
 }

@@ -105,12 +105,12 @@ func (p *PrefetchCache) Describe() string {
 }
 
 // Flush invalidates the wrapped cache and clears the stride-detection
-// state and prefetch counters.
+// state and prefetch counters, in place.
 func (p *PrefetchCache) Flush() {
 	p.c.Flush()
-	p.lastLine = make(map[int]uint64)
-	p.lastStride = make(map[int]int64)
-	p.confirmed = make(map[int]bool)
+	clear(p.lastLine)
+	clear(p.lastStride)
+	clear(p.confirmed)
 	p.stats = PrefetchStats{}
 }
 
@@ -176,10 +176,10 @@ func (p *PrefetchCache) install(line uint64, stream int) {
 // not-yet-touched prefetch.
 func (c *Cache) demandAccess(a Access) (Result, bool) {
 	line := c.LineAddr(a.Addr)
-	set := c.cfg.Mapper.Index(line)
+	ways := c.set(c.cfg.Mapper.Index(line))
 	wasPrefetched := false
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	for i := range ways {
+		w := &ways[i]
 		if w.valid && w.line == line && w.prefetched {
 			w.prefetched = false
 			wasPrefetched = true
@@ -193,8 +193,7 @@ func (c *Cache) demandAccess(a Access) (Result, bool) {
 // prefetched. It reports whether a fill actually happened (false when the
 // line was already resident).
 func (c *Cache) installLine(line uint64, stream int) bool {
-	set := c.cfg.Mapper.Index(line)
-	ways := c.sets[set]
+	ways := c.set(c.cfg.Mapper.Index(line))
 	for i := range ways {
 		if ways[i].valid && ways[i].line == line {
 			return false
@@ -210,7 +209,7 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 			c.hist.evicted(ways[victim].line, stream)
 		}
 	}
-	ways[victim] = way{valid: true, line: line, stream: stream, lastUse: c.clock, filled: c.clock, prefetched: true}
+	ways[victim] = way{valid: true, line: line, stamp: c.clock, prefetched: true}
 	// Keep the shadow and compulsory history consistent: a prefetched
 	// line has been brought in, so a later demand touch is not a
 	// compulsory miss of the memory system's making — but the 3C model

@@ -12,6 +12,10 @@ package cache
 // table of int32 indices into a flat node pool, and the recency list is
 // intrusive (int32 prev/next) inside the pool. One touch is one hash
 // probe plus a few int32 writes, with zero steady-state allocation.
+//
+// reset empties the pool and the table in place, keeping both at the
+// size the largest working set since construction needed, so a cache
+// reused across Flush does not regrow or rehash them job after job.
 type shadow struct {
 	capacity int
 
@@ -45,10 +49,15 @@ func newShadow(capacity int) *shadow {
 
 func (s *shadow) initTable(n int) {
 	s.table = make([]int32, n)
+	s.clearTable()
+}
+
+// clearTable marks every table slot empty.
+func (s *shadow) clearTable() {
 	for i := range s.table {
 		s.table[i] = shadowEmpty
 	}
-	s.mask = uint64(n - 1)
+	s.mask = uint64(len(s.table) - 1)
 	s.used = 0
 }
 
@@ -122,13 +131,19 @@ func (s *shadow) touch(line uint64) bool {
 }
 
 // rehash rebuilds the table — doubled while the live load exceeds ½ —
-// discarding accumulated tombstones.
+// discarding accumulated tombstones. A full directory under a stream of
+// misses only accumulates tombstones, so the table is rebuilt in place
+// when its size stays.
 func (s *shadow) rehash() {
 	n := len(s.table)
 	for s.size*2 >= n {
 		n *= 2
 	}
-	s.initTable(n)
+	if n == len(s.table) {
+		s.clearTable()
+	} else {
+		s.initTable(n)
+	}
 	for v := s.head; v >= 0; v = s.nodes[v].next {
 		i := shadowHash(s.nodes[v].line) >> 32 & s.mask
 		for s.table[i] != shadowEmpty {
@@ -147,6 +162,14 @@ func (s *shadow) alloc(line uint64) int32 {
 		s.free = -1
 		s.nodes[n] = shadowNode{line: line, prev: -1, next: -1}
 		return n
+	}
+	if len(s.nodes) == cap(s.nodes) {
+		// Double, up to the capacity+1 nodes the pool can ever hold:
+		// append grows a large slice by about a quarter at a time, so
+		// a big cache's pool would be copied some five times over.
+		grown := make([]shadowNode, len(s.nodes), min(max(2*cap(s.nodes), 64), s.capacity+1))
+		copy(grown, s.nodes)
+		s.nodes = grown
 	}
 	s.nodes = append(s.nodes, shadowNode{line: line, prev: -1, next: -1})
 	return int32(len(s.nodes) - 1)
@@ -182,9 +205,10 @@ func (s *shadow) unlink(n int32) {
 
 func (s *shadow) len() int { return s.size }
 
+// reset forgets every entry; the pool and the table keep their capacity.
 func (s *shadow) reset() {
 	s.nodes = s.nodes[:0]
 	s.free, s.head, s.tail = -1, -1, -1
 	s.size = 0
-	s.initTable(64)
+	s.clearTable()
 }

@@ -20,7 +20,7 @@ type SkewedCache struct {
 	c         uint
 	mask      uint64
 	lineShift uint
-	ways      [2][]way
+	ways      [2][]way // both ways share one frame array
 	clock     uint64
 
 	hist  *history
@@ -30,8 +30,8 @@ type SkewedCache struct {
 // NewSkewed returns a two-way skewed cache of lines total lines (a power
 // of two, so 2^(c) = lines/2 sets per way) with 8-byte lines.
 func NewSkewed(lines int) (*SkewedCache, error) {
-	if lines < 4 || lines&(lines-1) != 0 {
-		return nil, fmt.Errorf("cache: skewed cache needs power-of-two lines ≥ 4, got %d", lines)
+	if err := checkSkewed(lines); err != nil {
+		return nil, err
 	}
 	sets := lines / 2
 	c := uint(bits.TrailingZeros(uint(sets)))
@@ -41,9 +41,17 @@ func NewSkewed(lines int) (*SkewedCache, error) {
 		lineShift: 3, // 8-byte lines, as the paper fixes
 		hist:      newHistory(lines),
 	}
-	s.ways[0] = make([]way, sets)
-	s.ways[1] = make([]way, sets)
+	frames := make([]way, 2*sets)
+	s.ways[0], s.ways[1] = frames[:sets:sets], frames[sets:]
 	return s, nil
+}
+
+// checkSkewed checks NewSkewed's line count.
+func checkSkewed(lines int) error {
+	if lines < 4 || lines&(lines-1) != 0 {
+		return fmt.Errorf("cache: skewed cache needs power-of-two lines ≥ 4, got %d", lines)
+	}
+	return nil
 }
 
 // Lines returns the total line capacity.
@@ -91,7 +99,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 		i0, i1 := s.hash(0, line), s.hash(1, line)
 		e0, e1 := &s.ways[0][i0], &s.ways[1][i1]
 		if e0.valid && e0.line == line {
-			e0.lastUse = clock
+			e0.stamp = clock
 			st.Hits++
 			if out != nil {
 				out[i] = Result{Hit: true, Set: i0, Way: 0}
@@ -99,7 +107,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 			continue
 		}
 		if e1.valid && e1.line == line {
-			e1.lastUse = clock
+			e1.stamp = clock
 			st.Hits++
 			if out != nil {
 				out[i] = Result{Hit: true, Set: i1, Way: 1}
@@ -113,7 +121,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 		// Victim: an invalid frame if either candidate is free, else the
 		// least recently used of the two.
 		victim := e0
-		if e0.valid && (!e1.valid || e1.lastUse < e0.lastUse) {
+		if e0.valid && (!e1.valid || e1.stamp < e0.stamp) {
 			victim, res.Set, res.Way = e1, i1, 1
 		}
 		if victim.valid {
@@ -122,7 +130,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 			st.Evictions++
 			h.evicted(victim.line, a.Stream)
 		}
-		*victim = way{valid: true, line: line, stream: a.Stream, lastUse: clock, filled: clock}
+		*victim = way{valid: true, line: line, stamp: clock}
 		if out != nil {
 			out[i] = res
 		}
@@ -135,13 +143,11 @@ func (s *SkewedCache) Describe() string {
 	return fmt.Sprintf("skewed 2-way %d sets × 8B lines (xor)", len(s.ways[0]))
 }
 
-// Flush invalidates every line and clears statistics and history.
+// Flush invalidates every line and clears statistics and history, in
+// place: nothing is reallocated.
 func (s *SkewedCache) Flush() {
-	for w := 0; w < 2; w++ {
-		for i := range s.ways[w] {
-			s.ways[w][i] = way{}
-		}
-	}
+	clear(s.ways[0])
+	clear(s.ways[1])
 	s.clock = 0
 	s.stats = Stats{}
 	s.hist.reset()

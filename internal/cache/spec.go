@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,15 +103,86 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
-// Validate checks the (normalised) spec without building anything.
+// Validate checks the (normalised) spec without building anything: it
+// runs the checks of the constructor Build calls for the kind, in the
+// same order, and allocates nothing for a valid spec written in lower
+// case. Build runs it first, so the two return the same error.
 func (s Spec) Validate() error {
-	_, err := s.Build()
-	return err
+	s = s.Normalize()
+	var (
+		sets, ways = 0, 1 // geometry a New-built kind hands to checkShape
+		policy     = LRU
+		err        error
+	)
+	switch s.Kind {
+	case "prime":
+		var m PrimeMapper
+		m, err = NewPrimeMapper(s.C)
+		sets = m.Sets()
+	case "direct", "victim":
+		var m DirectMapper
+		m, err = NewDirectMapper(s.Lines)
+		sets = m.Sets()
+	case "assoc":
+		if policy, err = ParsePolicy(s.Policy); err != nil {
+			return err
+		}
+		var m DirectMapper
+		m, err = setAssocMapper(s.Lines, s.Ways)
+		sets, ways = m.Sets(), s.Ways
+	case "full":
+		var m ModuloMapper
+		m, err = NewModuloMapper(1)
+		sets, ways = m.Sets(), s.Lines
+	case "prime-assoc":
+		var m PrimeMapper
+		m, err = primeAssocMapper(s.C, s.Ways)
+		sets, ways = m.Sets(), s.Ways
+	case "skewed":
+		return checkSkewed(s.Lines)
+	default:
+		return fmt.Errorf("cache: unknown kind %q (want one of %s)",
+			s.Kind, strings.Join(SpecKinds(), ", "))
+	}
+	if err != nil {
+		return err
+	}
+	if err := checkShape(sets, ways, 0, policy); err != nil {
+		return err
+	}
+	if s.Kind == "victim" {
+		return checkVictimBuffer(s.VictimLines)
+	}
+	return nil
+}
+
+// Frames returns the number of line frames the (normalised) spec's
+// cache holds: every way of every set, plus the victim buffer for kind
+// "victim". It is meaningful only for a spec that validates, and
+// saturates at math.MaxInt; a server bounds it before calling Build.
+func (s Spec) Frames() int {
+	s = s.Normalize()
+	switch s.Kind {
+	case "prime":
+		return 1<<s.C - 1
+	case "prime-assoc":
+		return (1<<s.C - 1) * s.Ways // Validate rules out overflow
+	case "victim":
+		if s.VictimLines > math.MaxInt-s.Lines {
+			return math.MaxInt
+		}
+		return s.Lines + s.VictimLines
+	default:
+		return s.Lines
+	}
 }
 
 // Build constructs the described cache organisation. The spec is
 // normalised first, so zero-valued fields take their defaults.
 func (s Spec) Build() (Sim, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	s = s.Normalize()
 	switch s.Kind {
 	case "prime":
@@ -129,11 +201,8 @@ func (s Spec) Build() (Sim, error) {
 		return NewPrimeAssoc(s.C, s.Ways)
 	case "skewed":
 		return NewSkewed(s.Lines)
-	case "victim":
+	default: // "victim"; Validate rejected every other kind
 		return NewVictim(s.Lines, s.VictimLines)
-	default:
-		return nil, fmt.Errorf("cache: unknown kind %q (want one of %s)",
-			s.Kind, strings.Join(SpecKinds(), ", "))
 	}
 }
 

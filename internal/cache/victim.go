@@ -26,10 +26,18 @@ func NewVictim(lines, bufLines int) (*VictimCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bufLines < 1 {
-		return nil, fmt.Errorf("cache: victim buffer needs at least 1 line, got %d", bufLines)
+	if err := checkVictimBuffer(bufLines); err != nil {
+		return nil, err
 	}
 	return &VictimCache{main: main, buf: make([]way, bufLines)}, nil
+}
+
+// checkVictimBuffer checks NewVictim's buffer size.
+func checkVictimBuffer(bufLines int) error {
+	if bufLines < 1 {
+		return fmt.Errorf("cache: victim buffer needs at least 1 line, got %d", bufLines)
+	}
+	return nil
 }
 
 // Main returns the backing direct-mapped cache (its Stats count
@@ -96,7 +104,7 @@ func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
 			// buffer held the requested line, the miss is a swap hit and
 			// the line leaves the buffer (it now lives in the main array).
 			if r.Evicted {
-				v.insert(r.EvictedLine, accs[i].Stream)
+				v.insert(r.EvictedLine)
 			}
 			if v.take(v.main.LineAddr(accs[i].Addr)) {
 				v.hits++
@@ -122,18 +130,18 @@ func (v *VictimCache) take(line uint64) bool {
 	return false
 }
 
-func (v *VictimCache) insert(line uint64, stream int) {
+func (v *VictimCache) insert(line uint64) {
 	victim := 0
 	for i := range v.buf {
 		if !v.buf[i].valid {
 			victim = i
 			break
 		}
-		if v.buf[i].lastUse < v.buf[victim].lastUse {
+		if v.buf[i].stamp < v.buf[victim].stamp {
 			victim = i
 		}
 	}
-	v.buf[victim] = way{valid: true, line: line, stream: stream, lastUse: v.clock}
+	v.buf[victim] = way{valid: true, line: line, stamp: v.clock}
 }
 
 // Describe returns a short human-readable description.

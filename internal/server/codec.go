@@ -56,6 +56,13 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
+// MaxCacheLines bounds the line frames (cache.Spec.Frames) of the cache
+// one simulate job may ask for. A fixed constant rather than a Limits
+// field: it keeps one job's cache to tens of megabytes, still admits the
+// largest prime-mapped cache below it (c = 19, 2^19 − 1 lines), and
+// rejects a spec such as prime c=31 before anything is allocated.
+const MaxCacheLines = 1 << 20
+
 // SimulateRequest asks for one synthetic pattern to be run through one
 // cache organisation.
 type SimulateRequest struct {
@@ -84,6 +91,9 @@ func (r SimulateRequest) Validate(lim Limits) error {
 	r = r.Normalize()
 	if err := r.Cache.Validate(); err != nil {
 		return Errf(CodeInvalidRequest, "%v", err)
+	}
+	if n := r.Cache.Frames(); n > MaxCacheLines {
+		return Errf(CodeJobTooLarge, "server: cache %s holds %d lines, limit %d", r.Cache, n, MaxCacheLines)
 	}
 	if err := r.Pattern.Validate(); err != nil {
 		return Errf(CodeInvalidRequest, "%v", err)

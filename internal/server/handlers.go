@@ -79,6 +79,13 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, degrade bool) (re
 		}
 		s.callMu.Lock()
 		c, joined := s.calls[key]
+		if !joined && s.memo.Contains(key) {
+			// A leader published the value and left between the memo
+			// miss above and here; it publishes before it leaves, so
+			// the memo holds the value now. Read it through Get.
+			s.callMu.Unlock()
+			continue
+		}
 		if !joined {
 			c = &inflightCall{done: make(chan struct{})}
 			s.calls[key] = c

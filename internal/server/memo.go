@@ -58,6 +58,18 @@ func (m *Memo) Get(key string) (any, bool) {
 	return el.Value.(*memoEntry).value, true
 }
 
+// Contains reports whether key is memoized, without counting a lookup
+// or refreshing the entry's recency.
+func (m *Memo) Contains(key string) bool {
+	if m.cap <= 0 {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.entries[key]
+	return ok
+}
+
 // Put stores value under key, evicting the least-recently-used entry when
 // full.
 func (m *Memo) Put(key string, value any) {

@@ -170,6 +170,8 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/simulate", `{"pattern":{"name":"strided","n":2000000000}}`, CodeJobTooLarge},
 		{"/v1/simulate", `{"pattern":{"name":"subblock","b1":1000000,"b2":1000000}}`, CodeJobTooLarge},
 		{"/v1/simulate", `{"pattern":{"name":"strided","n":4096},"passes":1152921504606846976}`, CodeJobTooLarge},
+		{"/v1/simulate", `{"cache":{"kind":"prime","c":31}}`, CodeJobTooLarge},
+		{"/v1/simulate", `{"cache":{"kind":"direct","lines":1073741824}}`, CodeJobTooLarge},
 		{"/v1/simulate", `{"unknown":1}`, CodeInvalidRequest},
 		{"/v1/simulate", `not json`, CodeInvalidRequest},
 		{"/v1/model", `{"banks":63}`, CodeInvalidRequest},
@@ -633,6 +635,43 @@ func TestValidateBoundsBeforeBuild(t *testing.T) {
 	ok := SimulateRequest{Cache: spec, Pattern: trace.Pattern{Name: "strided", N: 4096}, Passes: 2}
 	if err := ok.Validate(DefaultLimits()); err != nil {
 		t.Errorf("in-bounds request rejected: %v", err)
+	}
+}
+
+// TestValidateBoundsCacheSize: a cache spec above MaxCacheLines frames
+// is rejected job_too_large by Validate, which builds nothing, so a
+// request for 2^31 − 1 sets costs no allocation; the largest prime cache
+// under the bound still passes.
+func TestValidateBoundsCacheSize(t *testing.T) {
+	pat := trace.Pattern{Name: "strided", N: 64}
+	for _, tc := range []struct {
+		spec cache.Spec
+		ok   bool
+	}{
+		{cache.Spec{Kind: "prime", C: 31}, false},
+		{cache.Spec{Kind: "direct", Lines: 1 << 30}, false},
+		{cache.Spec{Kind: "direct", Lines: 1 << 21}, false},
+		{cache.Spec{Kind: "prime-assoc", C: 19, Ways: 4}, false},
+		{cache.Spec{Kind: "victim", Lines: 1 << 20, VictimLines: 1}, false},
+		{cache.Spec{Kind: "prime", C: 19}, true},
+		{cache.Spec{Kind: "prime-assoc", C: 19, Ways: 2}, true},
+		{cache.Spec{Kind: "direct", Lines: 1 << 20}, true},
+		{cache.Spec{Kind: "full", Lines: 1 << 20}, true},
+	} {
+		req := SimulateRequest{Cache: tc.spec, Pattern: pat}
+		err := req.Validate(DefaultLimits())
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.spec, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted, want job_too_large", tc.spec)
+		case !tc.ok && asAPIError(err).Code != CodeJobTooLarge:
+			t.Errorf("%s: code %q, want %q", tc.spec, asAPIError(err).Code, CodeJobTooLarge)
+		}
+	}
+	huge := SimulateRequest{Cache: cache.Spec{Kind: "prime", C: 31}, Pattern: pat}
+	if a := testing.AllocsPerRun(10, func() { _ = huge.Validate(DefaultLimits()) }); a > 16 {
+		t.Errorf("rejecting prime c=31 allocates %v times; Validate must not build the cache", a)
 	}
 }
 
