@@ -194,16 +194,22 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("%s: Flush and a replay round allocate %v times, want 0", sim.Describe(), allocs)
 		}
 	}
+	checkSpec := func(t *testing.T, spec cache.Spec) {
+		sim, err := spec.Build()
+		if err != nil {
+			t.Fatalf("build %q: %v", spec, err)
+		}
+		check(t, sim)
+	}
 	g := oracle.NewGen(batchSeed + 2)
 	for _, kind := range cache.SpecKinds() {
 		spec := g.SpecOfKind(kind)
-		t.Run(kind, func(t *testing.T) {
-			sim, err := spec.Build()
-			if err != nil {
-				t.Fatalf("build %q: %v", spec, err)
-			}
-			check(t, sim)
-		})
+		t.Run(kind, func(t *testing.T) { checkSpec(t, spec) })
+	}
+	// The generator need not draw a set wide enough for the line index;
+	// these are.
+	for _, name := range wideNames {
+		t.Run(name, func(t *testing.T) { checkSpec(t, reuseSpecs[name]) })
 	}
 	t.Run("prefetch", func(t *testing.T) {
 		base, err := cache.NewDirect(256)
@@ -256,6 +262,8 @@ func benchStrided64(b *testing.B, build func() (cache.Sim, error), batch bool) {
 // interface (a batch of one per call) for the same 64-element strided
 // sweep on each organisation, including the stride-prefetching wrapper
 // over a small direct-mapped cache, which Spec.Build cannot assemble.
+// The fully-associative rows are the perfbench kernels geometry (64
+// lines) and the Spec default (8192 lines).
 func BenchmarkStrided64(b *testing.B) {
 	orgs := []struct {
 		name  string
@@ -264,6 +272,8 @@ func BenchmarkStrided64(b *testing.B) {
 		{"prime", cache.Spec{Kind: "prime", C: 13}.Build},
 		{"direct", cache.Spec{Kind: "direct", Lines: 8192}.Build},
 		{"assoc", cache.Spec{Kind: "assoc", Lines: 8192, Ways: 4}.Build},
+		{"full", cache.Spec{Kind: "full", Lines: 64}.Build},
+		{"full-8192", cache.Spec{Kind: "full"}.Build},
 		{"skewed", cache.Spec{Kind: "skewed", Lines: 8192}.Build},
 		{"victim", cache.Spec{Kind: "victim", Lines: 8192}.Build},
 		{"prefetch", func() (cache.Sim, error) {

@@ -53,10 +53,15 @@ type way struct {
 // Cache is a set-associative cache simulator; see package documentation.
 // It is not safe for concurrent use.
 //
-// New backs every set with one frame array. Flush clears the frames and
-// the classification history in place, keeping every table's capacity,
-// so a flushed cache reused for a job no larger than an earlier one
-// allocates nothing.
+// New backs every set with one frame array. A set narrower than
+// wideWays is searched by scanning its ways, and its victim is found by
+// scanning them again. A set at least wideWays wide (a fully-associative
+// cache is one set of every line) costs O(1) in its ways instead: New
+// also builds a line→frame index, a recency list threaded through the
+// frames of each set, and a fill count per set. Flush clears the frames,
+// the index, the lists and the classification history in place,
+// keeping every table's capacity, so a flushed cache reused for a job
+// no larger than an earlier one allocates nothing.
 type Cache struct {
 	cfg       Config
 	lineShift uint
@@ -64,12 +69,40 @@ type Cache struct {
 	clock     uint64
 	rng       *rand.Rand // Random policy only
 
+	// Wide sets only. Frames are numbered across the whole array, so
+	// one index serves every set: a line is only ever filled into the
+	// set its address maps to.
+	wide  bool
+	index lineIndex // line → frame number
+	lines []uint64  // by frame: the line of a valid frame, for the index
+	links []link    // by frame, in its set's recency list
+	sets  []wideSet // by set
+
 	hist *history // 3C and interference history; nil when DisableClassify
 
 	stats          Stats
 	prefetchWasted uint64 // prefetched lines evicted before demand touch
 
 	scratch []int // AccessBatch set-index buffer, reused across batches
+}
+
+// wideWays is the associativity from which a set is found through the
+// line index rather than by a scan of its ways. BenchmarkWideSets
+// measures both strategies at 4 to 512 ways on hit-heavy and miss-heavy
+// traces: at 8 ways the scan is still faster on hits, at 16 the two
+// break even on hits and the index is faster on misses, and beyond 16
+// the index wins both (EXPERIMENTS.md has the table).
+const wideWays = 16
+
+// wideSet is the bookkeeping of one wide set. Only Flush invalidates a
+// frame, so the valid ways are always the first filled ones, and way
+// filled is the first invalid one. The recency list orders the valid
+// frames by stamp, most recent at the head: by use under LRU and
+// Random, by fill under FIFO. Stamps are unique clock values, so the
+// tail is the frame with the least stamp, the victim a scan would pick.
+type wideSet struct {
+	filled int32
+	order  recency
 }
 
 // New validates cfg and returns an empty cache.
@@ -87,6 +120,9 @@ func New(cfg Config) (*Cache, error) {
 	}
 	if cfg.Policy == Random {
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	if cfg.Ways >= wideWays {
+		c.makeWide()
 	}
 	if !cfg.DisableClassify {
 		c.hist = newHistory(cfg.Mapper.Sets() * cfg.Ways)
@@ -119,11 +155,15 @@ func (c *Cache) Stats() Stats { return c.stats }
 // compulsory-miss history.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Flush invalidates every line and clears statistics and classification
-// history, in place: nothing is reallocated. The Random policy's source
-// keeps its state.
+// Flush invalidates every line and clears statistics, classification
+// history and a wide cache's index and recency lists, in place: nothing
+// is reallocated. The Random policy's source keeps its state.
 func (c *Cache) Flush() {
 	clear(c.frames)
+	if c.wide {
+		c.index.reset()
+		c.resetSets()
+	}
 	c.clock = 0
 	c.stats = Stats{}
 	c.prefetchWasted = 0
@@ -156,12 +196,34 @@ func (c *Cache) Utilization() float64 {
 // Contains reports whether the line holding byte address addr is cached.
 func (c *Cache) Contains(addr uint64) bool {
 	line := c.LineAddr(addr)
-	for _, w := range c.set(c.cfg.Mapper.Index(line)) {
-		if w.valid && w.line == line {
-			return true
+	return c.find(c.cfg.Mapper.Index(line), line) >= 0
+}
+
+// find returns the way of set that holds line, or -1: one probe of the
+// index for a wide set, a scan of its ways otherwise. AccessBatch,
+// Contains and the prefetcher's entry points all look lines up this way.
+func (c *Cache) find(set int, line uint64) int {
+	if c.wide {
+		return c.findWide(set, line)
+	}
+	return scanWays(c.set(set), line)
+}
+
+func (c *Cache) findWide(set int, line uint64) int {
+	_, f := c.index.find(line, c.lines)
+	if f == indexEmpty {
+		return -1
+	}
+	return int(f) - set*c.cfg.Ways
+}
+
+func scanWays(ways []way, line uint64) int {
+	for j := range ways {
+		if ways[j].valid && ways[j].line == line {
+			return j
 		}
 	}
-	return false
+	return -1
 }
 
 // Access simulates one reference and returns its outcome. Both loads and
@@ -179,7 +241,10 @@ func (c *Cache) Access(a Access) Result {
 // loop specialised on the concrete mapper, so no reference pays a
 // virtual Mapper.Index call; then one loop, for every associativity and
 // policy, hits, misses, classifies and evicts, with the LRU clock in a
-// local written back once per batch.
+// local written back once per batch. A narrow set is searched by a scan
+// of its ways; a wide one costs one index probe, and on a miss its
+// victim comes from the fill count or the recency list's tail, so a
+// reference to a fully-associative cache costs O(1) in its lines.
 func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	if len(accs) == 0 {
 		return
@@ -213,9 +278,8 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	}
 
 	clock, st := c.clock, &c.stats
-	wb, h, nw := c.cfg.WriteBack, c.hist, c.cfg.Ways
+	wb, h, nw, wide := c.cfg.WriteBack, c.hist, c.cfg.Ways, c.wide
 	restamp := c.cfg.Policy != FIFO // a hit is a use; FIFO keeps fill order
-next:
 	for i := range accs {
 		a := &accs[i]
 		clock++
@@ -231,25 +295,36 @@ next:
 		line := a.Addr >> shift
 		set := idx[i]
 		ways := c.frames[set*nw : set*nw+nw : set*nw+nw]
-		for j := range ways {
-			if e := &ways[j]; e.valid && e.line == line {
-				if restamp {
-					e.stamp = clock
+		// find, with the scan inlined: find itself is too large for the
+		// compiler to inline, and a call per reference slows the
+		// narrow organisations by a fifth.
+		j := -1
+		if wide {
+			j = c.findWide(set, line)
+		} else {
+			j = scanWays(ways, line)
+		}
+		if j >= 0 {
+			e := &ways[j]
+			if restamp {
+				e.stamp = clock
+				if wide {
+					c.sets[set].order.use(c.links, int32(set*nw+j))
 				}
-				if a.Write && wb {
-					e.dirty = true
-				}
-				st.Hits++
-				if out != nil {
-					out[i] = Result{Hit: true, Set: set, Way: j}
-				}
-				// The shadow sees every reference, hit or miss, so the
-				// 3C split stays consistent.
-				if h != nil {
-					h.observe(line)
-				}
-				continue next
 			}
+			if a.Write && wb {
+				e.dirty = true
+			}
+			st.Hits++
+			if out != nil {
+				out[i] = Result{Hit: true, Set: set, Way: j}
+			}
+			// The shadow sees every reference, hit or miss, so the 3C
+			// split stays consistent.
+			if h != nil {
+				h.observe(line)
+			}
+			continue
 		}
 
 		st.Misses++
@@ -259,7 +334,7 @@ next:
 		}
 		victim := 0 // a one-way set's only frame; no policy to consult
 		if len(ways) > 1 {
-			victim = c.pickVictim(ways)
+			victim = c.pickVictim(set, ways)
 		}
 		e := &ways[victim]
 		if e.valid {
@@ -277,6 +352,9 @@ next:
 				h.evicted(e.line, a.Stream)
 			}
 		}
+		if wide {
+			c.refill(set, victim, line)
+		}
 		*e = way{valid: true, line: line, stamp: clock, dirty: a.Write && wb}
 		res.Way = victim
 		if out != nil {
@@ -286,7 +364,21 @@ next:
 	c.clock = clock
 }
 
-func (c *Cache) pickVictim(ways []way) int {
+// pickVictim returns the way of set to fill: the first invalid way,
+// else the policy's choice among the valid ones. A wide set reads both
+// from its bookkeeping; a narrow one scans for them.
+func (c *Cache) pickVictim(set int, ways []way) int {
+	if c.wide {
+		s := &c.sets[set]
+		switch {
+		case int(s.filled) < len(ways):
+			return int(s.filled)
+		case c.cfg.Policy == Random:
+			return c.rng.Intn(len(ways))
+		default:
+			return int(s.order.tail) - set*len(ways)
+		}
+	}
 	for i := range ways {
 		if !ways[i].valid {
 			return i
@@ -302,6 +394,43 @@ func (c *Cache) pickVictim(ways []way) int {
 		}
 	}
 	return oldest
+}
+
+// refill keeps a wide set's bookkeeping as way j of set takes line: the
+// evicted line, if any, leaves the index, line enters it, and the frame
+// moves to the front of the recency list.
+func (c *Cache) refill(set, j int, line uint64) {
+	f := int32(set*c.cfg.Ways + j)
+	s := &c.sets[set]
+	if c.frames[f].valid {
+		slot, _ := c.index.find(c.lines[f], c.lines)
+		c.index.remove(slot, c.lines)
+		s.order.unlink(c.links, f)
+	} else {
+		s.filled++
+	}
+	c.lines[f] = line
+	c.index.insert(line, f)
+	s.order.pushFront(c.links, f)
+}
+
+// makeWide gives an empty cache the index, the recency lists and the
+// fill counts of wide sets.
+func (c *Cache) makeWide() {
+	c.wide = true
+	c.index.init(indexSlots(len(c.frames)))
+	c.lines = make([]uint64, len(c.frames))
+	c.links = make([]link, len(c.frames))
+	c.sets = make([]wideSet, c.cfg.Mapper.Sets())
+	c.resetSets()
+}
+
+// resetSets empties every wide set's bookkeeping.
+func (c *Cache) resetSets() {
+	for i := range c.sets {
+		c.sets[i].filled = 0
+		c.sets[i].order.reset()
+	}
 }
 
 // Describe returns a short human-readable description of the organisation.

@@ -12,8 +12,8 @@ package cache
 type history struct {
 	shadow *shadow // fully-assoc LRU of equal capacity (3C split)
 
-	// lines is an open-addressed linear-probe table, hashed like the
-	// shadow's, holding per line whether it was ever referenced
+	// lines is an open-addressed linear-probe table, placed by lineSlot
+	// like a lineIndex, holding per line whether it was ever referenced
 	// (compulsory tracking) and which stream evicted it most recently.
 	// Entries are never deleted, so there are no tombstones. It is nil
 	// until the first entry, as a Go map starts empty, so a cache built
@@ -65,7 +65,7 @@ func (h *history) find(line uint64) *lineEntry {
 	if h.lines == nil {
 		return nil
 	}
-	for i := shadowHash(line) >> 32 & h.mask; ; i = (i + 1) & h.mask {
+	for i := lineSlot(line, h.mask); ; i = (i + 1) & h.mask {
 		e := &h.lines[i]
 		if e.flags == 0 {
 			return nil
@@ -81,7 +81,7 @@ func (h *history) entry(line uint64) *lineEntry {
 	if (h.used+1)*4 > len(h.lines)*3 {
 		h.grow()
 	}
-	for i := shadowHash(line) >> 32 & h.mask; ; i = (i + 1) & h.mask {
+	for i := lineSlot(line, h.mask); ; i = (i + 1) & h.mask {
 		e := &h.lines[i]
 		if e.flags == 0 {
 			*e = lineEntry{line: line, evictor: StreamNone, flags: lineUsed}
@@ -108,7 +108,7 @@ func (h *history) grow() {
 		if e.flags == 0 {
 			continue
 		}
-		i := shadowHash(e.line) >> 32 & h.mask
+		i := lineSlot(e.line, h.mask)
 		for h.lines[i].flags != 0 {
 			i = (i + 1) & h.mask
 		}

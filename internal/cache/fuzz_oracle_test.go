@@ -19,7 +19,7 @@ import (
 // a 16-bit word address plus a flag byte (bit 0 write, bits 1.. stream).
 // The seed corpus encodes the classic offenders from the table tests:
 // stride-32 power-of-two sweeps, repeated single-line hammering, and a
-// two-stream interleave.
+// two-stream interleave, plus two wide sets.
 func FuzzSimVsReference(f *testing.F) {
 	pack := func(tr trace.Trace) []byte {
 		var out []byte
@@ -37,6 +37,11 @@ func FuzzSimVsReference(f *testing.F) {
 	f.Add(int64(2), uint8(2), pack(trace.Strided(0, 1, 128, 1)))
 	f.Add(int64(3), uint8(6), pack(trace.Concat(trace.Strided(7, 0, 16, 1), trace.Strided(7, 0, 16, 2))))
 	f.Add(int64(4), uint8(5), pack(trace.Interleave(trace.Strided(0, 31, 62, 1), trace.StridedWrite(3, 8, 40, 2))))
+	// Wide sets, found through the line index: seed 8 draws a 16-way
+	// random-replacement assoc cache of 8 sets, here overflowed set by
+	// set; seed 4 draws a 128-line full cache, cycled over 160 lines.
+	f.Add(int64(8), uint8(2), pack(trace.Interleave(trace.Strided(0, 8, 40, 1), trace.StridedWrite(1, 8, 24, 2), trace.Strided(0, 8, 40, 3))))
+	f.Add(int64(4), uint8(3), pack(trace.Repeat(trace.Strided(0, 1, 160, 1), 2)))
 	f.Fuzz(func(t *testing.T, seed int64, kindSel uint8, data []byte) {
 		kinds := cache.SpecKinds()
 		kind := kinds[int(kindSel)%len(kinds)]

@@ -176,15 +176,12 @@ func (p *PrefetchCache) install(line uint64, stream int) {
 // not-yet-touched prefetch.
 func (c *Cache) demandAccess(a Access) (Result, bool) {
 	line := c.LineAddr(a.Addr)
-	ways := c.set(c.cfg.Mapper.Index(line))
+	set := c.cfg.Mapper.Index(line)
 	wasPrefetched := false
-	for i := range ways {
-		w := &ways[i]
-		if w.valid && w.line == line && w.prefetched {
-			w.prefetched = false
-			wasPrefetched = true
-			break
-		}
+	if j := c.find(set, line); j >= 0 {
+		w := &c.set(set)[j]
+		wasPrefetched = w.prefetched
+		w.prefetched = false
 	}
 	return c.Access(a), wasPrefetched
 }
@@ -193,14 +190,13 @@ func (c *Cache) demandAccess(a Access) (Result, bool) {
 // prefetched. It reports whether a fill actually happened (false when the
 // line was already resident).
 func (c *Cache) installLine(line uint64, stream int) bool {
-	ways := c.set(c.cfg.Mapper.Index(line))
-	for i := range ways {
-		if ways[i].valid && ways[i].line == line {
-			return false
-		}
+	set := c.cfg.Mapper.Index(line)
+	if c.find(set, line) >= 0 {
+		return false
 	}
+	ways := c.set(set)
 	c.clock++
-	victim := c.pickVictim(ways)
+	victim := c.pickVictim(set, ways)
 	if ways[victim].valid {
 		if ways[victim].prefetched {
 			c.prefetchWasted++
@@ -208,6 +204,9 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 		if c.hist != nil {
 			c.hist.evicted(ways[victim].line, stream)
 		}
+	}
+	if c.wide {
+		c.refill(set, victim, line)
 	}
 	ways[victim] = way{valid: true, line: line, stamp: c.clock, prefetched: true}
 	// Keep the shadow and compulsory history consistent: a prefetched

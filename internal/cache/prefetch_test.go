@@ -150,22 +150,29 @@ func TestPrefetchWastedCounting(t *testing.T) {
 
 func TestPrefetchDoesNotAlterDemandCorrectness(t *testing.T) {
 	// The same demand trace with and without prefetching yields the same
-	// hits-or-better and identical access counts.
-	base, _ := NewDirect(256)
-	pc, _ := NewDirect(256)
-	p, _ := NewPrefetchCache(pc, PrefetchStride, 2)
-	for pass := 0; pass < 2; pass++ {
-		for i := uint64(0); i < 128; i++ {
-			base.Access(Access{Addr: i * 3 * 8, Stream: 1})
-			p.Access(Access{Addr: i * 3 * 8, Stream: 1})
+	// hits-or-better and identical access counts, on a direct-mapped
+	// cache and on a 32-way one, whose prefetch fills and demand
+	// touches go through the line index.
+	for _, mk := range []func() (*Cache, error){
+		func() (*Cache, error) { return NewDirect(256) },
+		func() (*Cache, error) { return NewSetAssoc(256, 32, LRU) },
+	} {
+		base, _ := mk()
+		pc, _ := mk()
+		p, _ := NewPrefetchCache(pc, PrefetchStride, 2)
+		for pass := 0; pass < 2; pass++ {
+			for i := uint64(0); i < 128; i++ {
+				base.Access(Access{Addr: i * 3 * 8, Stream: 1})
+				p.Access(Access{Addr: i * 3 * 8, Stream: 1})
+			}
 		}
-	}
-	bs, ps := base.Stats(), p.Stats()
-	if bs.Accesses != ps.Accesses {
-		t.Errorf("access counts differ: %d vs %d", bs.Accesses, ps.Accesses)
-	}
-	if ps.Misses > bs.Misses {
-		t.Errorf("prefetching increased misses: %d > %d", ps.Misses, bs.Misses)
+		bs, ps := base.Stats(), p.Stats()
+		if bs.Accesses != ps.Accesses {
+			t.Errorf("%s: access counts differ: %d vs %d", base.Describe(), bs.Accesses, ps.Accesses)
+		}
+		if ps.Misses > bs.Misses {
+			t.Errorf("%s: prefetching increased misses: %d > %d", base.Describe(), ps.Misses, bs.Misses)
+		}
 	}
 }
 

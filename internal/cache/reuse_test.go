@@ -8,9 +8,12 @@ import (
 )
 
 // reuseSpecs gives one small organisation of every Spec kind for the
-// reuse suite, sized so the traces below fill and evict them. The
-// Random policy is left out on purpose: its source keeps its state
-// across Flush, so a flushed random cache is not a fresh one.
+// reuse suite, sized so the traces below fill and evict them, and under
+// the names in wideNames two whose sets are wide enough to be found
+// through the line index, so Flush is shown to clear the index and the
+// recency lists in place. The Random policy is left out on purpose: its
+// source keeps its state across Flush, so a flushed random cache is not
+// a fresh one.
 var reuseSpecs = map[string]cache.Spec{
 	"prime":       {Kind: "prime", C: 7},
 	"direct":      {Kind: "direct", Lines: 64},
@@ -19,7 +22,12 @@ var reuseSpecs = map[string]cache.Spec{
 	"prime-assoc": {Kind: "prime-assoc", C: 5, Ways: 2},
 	"skewed":      {Kind: "skewed", Lines: 64},
 	"victim":      {Kind: "victim", Lines: 64, VictimLines: 4},
+	"assoc-wide":  {Kind: "assoc", Lines: 64, Ways: 32, Policy: "fifo"},
+	"full-wide":   {Kind: "full", Lines: 64},
 }
+
+// wideNames are the reuseSpecs beyond one per kind.
+var wideNames = []string{"assoc-wide", "full-wide"}
 
 // newReusePrefetch returns the PrefetchCache of the reuse suite: a
 // sequential prefetcher over a 16-line direct-mapped cache.
@@ -93,12 +101,12 @@ func TestFlushReuseEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, kind := range cache.SpecKinds() {
-		spec, ok := reuseSpecs[kind]
+	for _, name := range append(cache.SpecKinds(), wideNames...) {
+		spec, ok := reuseSpecs[name]
 		if !ok {
-			t.Fatalf("no reuse spec for kind %q", kind)
+			t.Fatalf("no reuse spec %q", name)
 		}
-		t.Run(kind, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			mk := func() cache.Sim {
 				sim, err := spec.Build()
 				if err != nil {

@@ -8,207 +8,92 @@ package cache
 // The directory is touched on every access of a classifying cache, so it
 // sits on the hot path of every organisation's AccessBatch loop (and so
 // of Access, a batch of one). It therefore avoids the runtime map and
-// per-entry heap nodes: lines live in an open-addressed linear-probe
-// table of int32 indices into a flat node pool, and the recency list is
-// intrusive (int32 prev/next) inside the pool. One touch is one hash
-// probe plus a few int32 writes, with zero steady-state allocation.
+// per-entry heap nodes: entries are numbered nodes in two flat arrays,
+// their lines and their links in an intrusive recency list, found
+// through a lineIndex of node numbers. One touch is one hash probe plus
+// a few int32 writes, with zero steady-state allocation.
 //
-// reset empties the pool and the table in place, keeping both at the
-// size the largest working set since construction needed, so a cache
-// reused across Flush does not regrow or rehash them job after job.
+// reset empties the arrays and the index in place, keeping all three at
+// the size the largest working set since construction needed, so a
+// cache reused across Flush does not regrow or rehash them job after
+// job.
 type shadow struct {
 	capacity int
 
-	nodes []shadowNode // node pool; grows on demand up to capacity+1
-	free  int32        // most recently evicted pool slot, -1 = none
-	head  int32        // most recently used, -1 = empty
-	tail  int32        // least recently used
-	size  int          // live entries
-
-	table []int32 // slot → pool index, shadowEmpty, or shadowTombstone
-	mask  uint64  // len(table)-1; table length is a power of two
-	used  int     // table slots holding a live entry or a tombstone
-}
-
-const (
-	shadowEmpty     = -1
-	shadowTombstone = -2
-)
-
-type shadowNode struct {
-	line       uint64
-	prev, next int32 // intrusive recency list, -1 = none
-	slot       int32 // this node's table slot, for O(1) delete
+	lines []uint64  // by node; one node per live entry, up to capacity
+	links []link    // by node
+	order recency   // of the nodes: most recently used at the head
+	index lineIndex // line → node
 }
 
 func newShadow(capacity int) *shadow {
-	s := &shadow{capacity: capacity, free: -1, head: -1, tail: -1}
-	s.initTable(64)
+	s := &shadow{capacity: capacity}
+	s.order.reset()
+	s.index.init(indexSlots(0))
 	return s
 }
-
-func (s *shadow) initTable(n int) {
-	s.table = make([]int32, n)
-	s.clearTable()
-}
-
-// clearTable marks every table slot empty.
-func (s *shadow) clearTable() {
-	for i := range s.table {
-		s.table[i] = shadowEmpty
-	}
-	s.mask = uint64(len(s.table) - 1)
-	s.used = 0
-}
-
-// shadowHash is Fibonacci hashing: line addresses are often arithmetic
-// progressions (strided sweeps), which the golden-ratio multiply spreads
-// across the table instead of clustering into one probe run.
-func shadowHash(line uint64) uint64 { return line * 0x9e3779b97f4a7c15 }
 
 // touch looks up line, promoting it to most-recently-used and inserting it
 // (evicting the LRU entry if full) when absent. It returns whether the line
 // was present before the call — i.e. whether a fully-associative LRU cache
 // of this capacity would have hit.
 func (s *shadow) touch(line uint64) bool {
-	i := shadowHash(line) >> 32 & s.mask
-	reuse := int64(-1) // first tombstone seen, reusable if line is absent
-	for {
-		v := s.table[i]
-		if v == shadowEmpty {
-			break
-		}
-		if v == shadowTombstone {
-			if reuse < 0 {
-				reuse = int64(i)
-			}
-		} else if s.nodes[v].line == line {
-			// Splice v to the front in place rather than via unlink
-			// and pushFront: v != head implies v has a predecessor,
-			// and v's own links are overwritten, not cleared — the hit
-			// path is the hottest code in a classifying simulation.
-			if s.head != v {
-				nd := &s.nodes[v]
-				prev, next := nd.prev, nd.next
-				s.nodes[prev].next = next
-				if next >= 0 {
-					s.nodes[next].prev = prev
-				} else {
-					s.tail = prev
-				}
-				nd.prev = -1
-				nd.next = s.head
-				s.nodes[s.head].prev = v
-				s.head = v
-			}
-			return true
-		}
-		i = (i + 1) & s.mask
+	i, n := s.index.find(line, s.lines)
+	if n == indexEmpty {
+		s.add(i, line)
+		return false
 	}
-
-	slot := i
-	if reuse >= 0 {
-		slot = uint64(reuse)
-	} else {
-		s.used++
-	}
-	n := s.alloc(line)
-	s.nodes[n].slot = int32(slot)
-	s.table[slot] = n
-	s.pushFront(n)
-	s.size++
-	if s.size > s.capacity {
-		t := s.tail
-		s.unlink(t)
-		s.table[s.nodes[t].slot] = shadowTombstone
-		s.free = t
-		s.size--
-	}
-	if s.used*4 >= len(s.table)*3 {
-		s.rehash()
-	}
-	return false
+	s.order.use(s.links, n)
+	return true
 }
 
-// rehash rebuilds the table — doubled while the live load exceeds ½ —
-// discarding accumulated tombstones. A full directory under a stream of
-// misses only accumulates tombstones, so the table is rebuilt in place
-// when its size stays.
-func (s *shadow) rehash() {
-	n := len(s.table)
-	for s.size*2 >= n {
-		n *= 2
+// add inserts the absent line as most recently used. i is the slot find
+// returned for line. A full directory evicts its least recently used
+// entry first and gives line that entry's node, so the arrays and the
+// index never hold more than capacity entries.
+func (s *shadow) add(i uint64, line uint64) {
+	var n int32
+	switch {
+	case len(s.lines) == s.capacity:
+		n = s.order.tail
+		s.order.unlink(s.links, n)
+		j, _ := s.index.find(s.lines[n], s.lines)
+		s.index.remove(j, s.lines) // may move entries, so i is stale
+		s.lines[n] = line
+		s.index.insert(line, n)
+	case (len(s.lines)+1)*4 > len(s.index.slots): // the load indexSlots allows
+		n = s.alloc(line)
+		s.index.grow(s.lines)
+		s.index.insert(line, n)
+	default:
+		n = s.alloc(line)
+		s.index.put(i, n)
 	}
-	if n == len(s.table) {
-		s.clearTable()
-	} else {
-		s.initTable(n)
-	}
-	for v := s.head; v >= 0; v = s.nodes[v].next {
-		i := shadowHash(s.nodes[v].line) >> 32 & s.mask
-		for s.table[i] != shadowEmpty {
-			i = (i + 1) & s.mask
-		}
-		s.table[i] = v
-		s.nodes[v].slot = int32(i)
-		s.used++
-	}
+	s.order.pushFront(s.links, n)
 }
 
-// alloc returns a pool slot holding line. Evictions always accompany an
-// insertion, so at most one freed slot exists at a time.
+// alloc appends a node holding line.
 func (s *shadow) alloc(line uint64) int32 {
-	if n := s.free; n >= 0 {
-		s.free = -1
-		s.nodes[n] = shadowNode{line: line, prev: -1, next: -1}
-		return n
+	if len(s.lines) == cap(s.lines) {
+		// Double, up to the capacity nodes there can ever be: append
+		// grows a large slice by about a quarter at a time, so a big
+		// cache's arrays would be copied some five times over.
+		n := min(max(2*cap(s.lines), 64), s.capacity)
+		s.lines = append(make([]uint64, 0, n), s.lines...)
+		s.links = append(make([]link, 0, n), s.links...)
 	}
-	if len(s.nodes) == cap(s.nodes) {
-		// Double, up to the capacity+1 nodes the pool can ever hold:
-		// append grows a large slice by about a quarter at a time, so
-		// a big cache's pool would be copied some five times over.
-		grown := make([]shadowNode, len(s.nodes), min(max(2*cap(s.nodes), 64), s.capacity+1))
-		copy(grown, s.nodes)
-		s.nodes = grown
-	}
-	s.nodes = append(s.nodes, shadowNode{line: line, prev: -1, next: -1})
-	return int32(len(s.nodes) - 1)
+	s.lines = append(s.lines, line)
+	s.links = append(s.links, link{})
+	return int32(len(s.lines) - 1)
 }
 
-func (s *shadow) pushFront(n int32) {
-	nd := &s.nodes[n]
-	nd.prev = -1
-	nd.next = s.head
-	if s.head >= 0 {
-		s.nodes[s.head].prev = n
-	}
-	s.head = n
-	if s.tail < 0 {
-		s.tail = n
-	}
-}
+func (s *shadow) len() int { return len(s.lines) }
 
-func (s *shadow) unlink(n int32) {
-	nd := &s.nodes[n]
-	if nd.prev >= 0 {
-		s.nodes[nd.prev].next = nd.next
-	} else {
-		s.head = nd.next
-	}
-	if nd.next >= 0 {
-		s.nodes[nd.next].prev = nd.prev
-	} else {
-		s.tail = nd.prev
-	}
-	nd.prev, nd.next = -1, -1
-}
-
-func (s *shadow) len() int { return s.size }
-
-// reset forgets every entry; the pool and the table keep their capacity.
+// reset forgets every entry; the arrays and the index keep their
+// capacity.
 func (s *shadow) reset() {
-	s.nodes = s.nodes[:0]
-	s.free, s.head, s.tail = -1, -1, -1
-	s.size = 0
-	s.clearTable()
+	s.lines = s.lines[:0]
+	s.links = s.links[:0]
+	s.order.reset()
+	s.index.reset()
 }

@@ -28,7 +28,9 @@ func (g *Gen) pick(vals []int) int { return vals[g.rng.Intn(len(vals))] }
 
 // SpecOfKind returns a randomized, always-valid Spec of the given kind.
 // Geometries are kept small so that conflicts are frequent and the
-// reference simulator's linear scans stay cheap.
+// reference simulator's linear scans stay cheap, but assoc ways and full
+// lines reach past 16, where a cache finds lines through its index
+// rather than a scan, so that path runs under every policy.
 func (g *Gen) SpecOfKind(kind string) cache.Spec {
 	s := cache.Spec{Kind: kind}
 	switch kind {
@@ -37,11 +39,11 @@ func (g *Gen) SpecOfKind(kind string) cache.Spec {
 	case "direct":
 		s.Lines = g.pick([]int{16, 64, 256})
 	case "assoc":
-		s.Ways = g.pick([]int{2, 4, 8})
+		s.Ways = g.pick([]int{2, 4, 8, 16, 32})
 		s.Lines = s.Ways * g.pick([]int{8, 16, 64})
 		s.Policy = []string{"lru", "fifo", "random"}[g.rng.Intn(3)]
 	case "full":
-		s.Lines = g.pick([]int{4, 8, 32})
+		s.Lines = g.pick([]int{4, 8, 32, 64, 128})
 	case "prime-assoc":
 		s.C = uint(g.pick([]int{3, 5, 7}))
 		s.Ways = g.pick([]int{2, 4})

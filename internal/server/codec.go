@@ -60,7 +60,14 @@ func (l Limits) withDefaults() Limits {
 // one simulate job may ask for. A fixed constant rather than a Limits
 // field: it keeps one job's cache to tens of megabytes, still admits the
 // largest prime-mapped cache below it (c = 19, 2^19 − 1 lines), and
-// rejects a spec such as prime c=31 before anything is allocated.
+// rejects a spec such as prime c=31 before anything is allocated. At
+// 2^20 frames the cache holds 24 MiB of frames (24 B each); sets of 16
+// or more ways add their line index, lines and recency links, at most
+// 32 MiB (a 2^22-slot table of 4 B, then 16 B per frame); the
+// classification shadow takes at most 32 MiB more (16 B per entry and
+// a table of the same size). That is 88 MiB at most; the per-line
+// history on top grows with the lines a job references, which
+// Limits.MaxRefsPerJob bounds, not with the cache.
 const MaxCacheLines = 1 << 20
 
 // SimulateRequest asks for one synthetic pattern to be run through one
