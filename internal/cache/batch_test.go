@@ -1,14 +1,15 @@
 package cache_test
 
 // External test package: the equivalence suite drives the batch fast
-// path with the oracle package's seeded generator, and oracle imports
-// cache.
+// path with the oracle package's seeded generator and the trace
+// package's replay, and both import cache.
 
 import (
 	"testing"
 
 	"primecache/internal/cache"
 	"primecache/internal/oracle"
+	"primecache/internal/trace"
 )
 
 // batchSeed seeds the generator for the equivalence suite; log it so a
@@ -193,6 +194,19 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: Flush and a replay round allocate %v times, want 0", sim.Describe(), allocs)
 		}
+		// A served job: Flush, then a streamed pattern replay, whose
+		// chunk buffer is reused across replays. Only the cursor may
+		// allocate.
+		p := trace.Pattern{Name: "strided", Stride: 512, N: 1000, Stream: 1}
+		allocs = testing.AllocsPerRun(5, func() {
+			sim.Flush()
+			if _, err := trace.ReplayPattern(sim, p, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("%s: Flush and a pattern replay allocate %v times, want at most 1 (the cursor)", sim.Describe(), allocs)
+		}
 	}
 	checkSpec := func(t *testing.T, spec cache.Spec) {
 		sim, err := spec.Build()
@@ -206,9 +220,9 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 		spec := g.SpecOfKind(kind)
 		t.Run(kind, func(t *testing.T) { checkSpec(t, spec) })
 	}
-	// The generator need not draw a set wide enough for the line index;
-	// these are.
-	for _, name := range wideNames {
+	// The generator need not draw a set wide enough for the line index,
+	// nor the Random policy; these do.
+	for _, name := range extraNames {
 		t.Run(name, func(t *testing.T) { checkSpec(t, reuseSpecs[name]) })
 	}
 	t.Run("prefetch", func(t *testing.T) {

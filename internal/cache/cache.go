@@ -157,9 +157,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and clears statistics, classification
 // history and a wide cache's index and recency lists, in place: nothing
-// is reallocated. The Random policy's source keeps its state.
+// is reallocated. The Random policy's source is re-seeded from
+// Config.Seed, so a flushed cache replays exactly as a fresh one.
 func (c *Cache) Flush() {
 	clear(c.frames)
+	if c.rng != nil {
+		c.rng.Seed(c.cfg.Seed)
+	}
 	if c.wide {
 		c.index.reset()
 		c.resetSets()
@@ -435,6 +439,10 @@ func (c *Cache) resetSets() {
 
 // Describe returns a short human-readable description of the organisation.
 func (c *Cache) Describe() string {
-	return fmt.Sprintf("%s-mapped %d sets × %d ways × %dB lines (%s)",
-		c.cfg.Mapper.Name(), c.cfg.Mapper.Sets(), c.cfg.Ways, c.cfg.LineBytes, c.cfg.Policy)
+	return describeCache(c.cfg.Mapper.Name(), c.cfg.Mapper.Sets(), c.cfg.Ways, c.cfg.LineBytes, c.cfg.Policy)
+}
+
+// describeCache is Cache.Describe's format, shared with Spec.Describe.
+func describeCache(mapper string, sets, ways, lineBytes int, policy Policy) string {
+	return fmt.Sprintf("%s-mapped %d sets × %d ways × %dB lines (%s)", mapper, sets, ways, lineBytes, policy)
 }

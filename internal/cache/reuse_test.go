@@ -9,11 +9,10 @@ import (
 
 // reuseSpecs gives one small organisation of every Spec kind for the
 // reuse suite, sized so the traces below fill and evict them, and under
-// the names in wideNames two whose sets are wide enough to be found
+// the names in extraNames two whose sets are wide enough to be found
 // through the line index, so Flush is shown to clear the index and the
-// recency lists in place. The Random policy is left out on purpose: its
-// source keeps its state across Flush, so a flushed random cache is not
-// a fresh one.
+// recency lists in place, and a narrow and a wide Random-policy cache,
+// so Flush is shown to re-seed the policy's source.
 var reuseSpecs = map[string]cache.Spec{
 	"prime":       {Kind: "prime", C: 7},
 	"direct":      {Kind: "direct", Lines: 64},
@@ -24,10 +23,12 @@ var reuseSpecs = map[string]cache.Spec{
 	"victim":      {Kind: "victim", Lines: 64, VictimLines: 4},
 	"assoc-wide":  {Kind: "assoc", Lines: 64, Ways: 32, Policy: "fifo"},
 	"full-wide":   {Kind: "full", Lines: 64},
+	"random":      {Kind: "assoc", Lines: 64, Ways: 4, Policy: "random"},
+	"random-wide": {Kind: "assoc", Lines: 64, Ways: 16, Policy: "random"},
 }
 
-// wideNames are the reuseSpecs beyond one per kind.
-var wideNames = []string{"assoc-wide", "full-wide"}
+// extraNames are the reuseSpecs beyond one per kind.
+var extraNames = []string{"assoc-wide", "full-wide", "random", "random-wide"}
 
 // newReusePrefetch returns the PrefetchCache of the reuse suite: a
 // sequential prefetcher over a 16-line direct-mapped cache.
@@ -101,7 +102,7 @@ func TestFlushReuseEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, name := range append(cache.SpecKinds(), wideNames...) {
+	for _, name := range append(cache.SpecKinds(), extraNames...) {
 		spec, ok := reuseSpecs[name]
 		if !ok {
 			t.Fatalf("no reuse spec %q", name)

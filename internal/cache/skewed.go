@@ -139,8 +139,12 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 }
 
 // Describe returns a short human-readable description.
-func (s *SkewedCache) Describe() string {
-	return fmt.Sprintf("skewed 2-way %d sets × 8B lines (xor)", len(s.ways[0]))
+func (s *SkewedCache) Describe() string { return describeSkewed(len(s.ways[0])) }
+
+// describeSkewed is SkewedCache.Describe's format, shared with
+// Spec.Describe.
+func describeSkewed(sets int) string {
+	return fmt.Sprintf("skewed 2-way %d sets × 8B lines (xor)", sets)
 }
 
 // Flush invalidates every line and clears statistics and history, in

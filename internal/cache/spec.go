@@ -177,6 +177,29 @@ func (s Spec) Frames() int {
 	}
 }
 
+// Describe returns the description Build().Describe() gives, without
+// building anything. It is meaningful only for a spec that validates.
+func (s Spec) Describe() string {
+	s = s.Normalize()
+	switch s.Kind {
+	case "prime":
+		return describeCache("prime", 1<<s.C-1, 1, DefaultLineBytes, LRU)
+	case "direct":
+		return describeCache("direct", s.Lines, 1, DefaultLineBytes, LRU)
+	case "assoc":
+		p, _ := ParsePolicy(s.Policy)
+		return describeCache("direct", s.Lines/s.Ways, s.Ways, DefaultLineBytes, p)
+	case "full":
+		return describeCache("modulo", 1, s.Lines, DefaultLineBytes, LRU)
+	case "prime-assoc":
+		return describeCache("prime", 1<<s.C-1, s.Ways, DefaultLineBytes, LRU)
+	case "skewed":
+		return describeSkewed(s.Lines / 2)
+	default: // "victim"
+		return describeVictim(s.Lines, s.VictimLines)
+	}
+}
+
 // Build constructs the described cache organisation. The spec is
 // normalised first, so zero-valued fields take their defaults.
 func (s Spec) Build() (Sim, error) {

@@ -68,3 +68,30 @@ func TestValidateMatchesBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecDescribeMatchesBuild proves that Spec.Describe, which builds
+// nothing, names the organisation exactly as the built cache does: for
+// the oracle generator's specs of every kind, the benchmark specs, the
+// reuse specs, and every kind at its defaults.
+func TestSpecDescribeMatchesBuild(t *testing.T) {
+	g := oracle.NewGen(batchSeed + 5)
+	specs := append([]cache.Spec(nil), benchSpecs...)
+	for _, kind := range cache.SpecKinds() {
+		specs = append(specs, cache.Spec{Kind: kind})
+		for i := 0; i < 20; i++ {
+			specs = append(specs, g.SpecOfKind(kind))
+		}
+	}
+	for _, s := range reuseSpecs {
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		sim, err := s.Build()
+		if err != nil {
+			t.Fatalf("build %+v: %v", s, err)
+		}
+		if got, want := s.Describe(), sim.Describe(); got != want {
+			t.Errorf("%s: Describe() = %q, Build().Describe() = %q", s, got, want)
+		}
+	}
+}

@@ -145,8 +145,12 @@ func (v *VictimCache) insert(line uint64) {
 }
 
 // Describe returns a short human-readable description.
-func (v *VictimCache) Describe() string {
-	return fmt.Sprintf("direct %d lines + %d-entry victim buffer", v.main.Lines(), len(v.buf))
+func (v *VictimCache) Describe() string { return describeVictim(v.main.Lines(), len(v.buf)) }
+
+// describeVictim is VictimCache.Describe's format, shared with
+// Spec.Describe.
+func describeVictim(lines, bufLines int) string {
+	return fmt.Sprintf("direct %d lines + %d-entry victim buffer", lines, bufLines)
 }
 
 // Flush invalidates both levels and clears statistics.

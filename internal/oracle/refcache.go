@@ -131,11 +131,6 @@ func newRefAssoc(spec cache.Spec, index func(uint64) int, sets, ways int, policy
 		policy:         policy,
 		index:          index,
 		countMemWrites: memWrites,
-		// The fast cache seeds its Random-policy source with
-		// Config.Seed, which Spec.Build leaves at 0; randomness is a
-		// specified input here, not a theorem, so the reference draws
-		// from an identically-seeded source.
-		rng: rand.New(rand.NewSource(0)),
 	}
 	r.resetState()
 	return r, nil
@@ -147,6 +142,11 @@ func (r *refAssoc) resetState() {
 		r.frames[i] = map[int]*refEntry{}
 	}
 	r.clock = 0
+	// The fast cache seeds its Random-policy source with Config.Seed,
+	// which Spec.Build leaves at 0, and re-seeds it on Flush; randomness
+	// is a specified input here, not a theorem, so the reference draws
+	// from an identically-seeded source.
+	r.rng = rand.New(rand.NewSource(0))
 	r.seen = map[uint64]bool{}
 	r.shadow = &refShadow{cap: r.sets * r.ways}
 	r.evictedBy = map[uint64]int{}
@@ -263,9 +263,9 @@ func (r *refAssoc) Stats() cache.Stats { return r.stats }
 // Describe implements cache.Sim.
 func (r *refAssoc) Describe() string { return r.desc }
 
-// Flush implements cache.Sim: contents, statistics, and classification
-// history are cleared; the Random-policy source keeps its state, as in
-// the fast cache.
+// Flush implements cache.Sim: contents, statistics, classification
+// history and the Random-policy source return to their initial state,
+// as in the fast cache.
 func (r *refAssoc) Flush() { r.resetState() }
 
 // refSkewed is the reference mirror of cache.SkewedCache: two ways of

@@ -2,7 +2,11 @@ package persist
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,6 +120,100 @@ func TestReopenAfterCloseRestoresSnapshot(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		wantGet(t, st2, fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i))
+	}
+}
+
+// TestForeignSnapshotRescanned: a checksummed snapshot that matches the
+// segments on disk byte for byte is still not restored when its entries
+// are in the version-1 layout, which names keys rather than digests, or
+// carry a malformed digest; Open scans the log instead and finds the
+// same keys and values.
+func TestForeignSnapshotRescanned(t *testing.T) {
+	type v1Entry struct {
+		Key string `json:"k"`
+		Seg int64  `json:"s"`
+		Off int64  `json:"o"`
+		Len int64  `json:"n"`
+	}
+	for _, tc := range []struct {
+		name    string
+		rewrite func(snap snapFile, keyOf map[string]string) any
+	}{
+		{"version-1", func(snap snapFile, keyOf map[string]string) any {
+			v1 := struct {
+				Version  int           `json:"version"`
+				Segments []snapSegment `json:"segments"`
+				Entries  []v1Entry     `json:"entries"`
+			}{Version: 1, Segments: snap.Segments}
+			for _, e := range snap.Entries {
+				v1.Entries = append(v1.Entries, v1Entry{Key: keyOf[e.Digest], Seg: e.Seg, Off: e.Off, Len: e.Len})
+			}
+			return v1
+		}},
+		{"long-digest", func(snap snapFile, _ map[string]string) any {
+			snap.Entries[0].Digest += "00"
+			return snap
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := mustOpen(t, Options{Dir: dir})
+			want := map[string]string{}
+			for i := 0; i < 20; i++ {
+				k, v := fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)
+				mustPut(t, st, k, v)
+				want[k] = v
+			}
+			mustPut(t, st, "key-3", "value-3-prime")
+			want["key-3"] = "value-3-prime"
+			if err := st.Delete(context.Background(), "key-5"); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, "key-5")
+			if err := st.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			// Rewrite the snapshot Close left, keeping its framing.
+			path := filepath.Join(dir, snapshotName)
+			frame, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap snapFile
+			if err := json.Unmarshal(frame[8:], &snap); err != nil {
+				t.Fatal(err)
+			}
+			keyOf := map[string]string{}
+			for k := range want {
+				d := digestOf(k)
+				keyOf[hex.EncodeToString(d[:])] = k
+			}
+			payload, err := json.Marshal(tc.rewrite(snap, keyOf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame = make([]byte, 8+len(payload))
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+			copy(frame[8:], payload)
+			if err := os.WriteFile(path, frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := mustOpen(t, Options{Dir: dir})
+			defer st2.Kill()
+			if st2.Stats().SnapshotRestore {
+				t.Fatal("the rewritten snapshot was restored")
+			}
+			if st2.Keys() != len(want) {
+				t.Fatalf("rescan found %d keys, want %d", st2.Keys(), len(want))
+			}
+			for k, v := range want {
+				wantGet(t, st2, k, v)
+			}
+			wantMiss(t, st2, "key-5")
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"hash/crc32"
 	"os"
@@ -23,10 +24,10 @@ type snapSegment struct {
 }
 
 type snapEntry struct {
-	Key string `json:"k"`
-	Seg int64  `json:"s"`
-	Off int64  `json:"o"`
-	Len int64  `json:"n"`
+	Digest string `json:"d"` // hex
+	Seg    int64  `json:"s"`
+	Off    int64  `json:"o"`
+	Len    int64  `json:"n"`
 }
 
 type snapFile struct {
@@ -35,7 +36,10 @@ type snapFile struct {
 	Entries  []snapEntry   `json:"entries"`
 }
 
-const snapVersion = 1
+// snapVersion 2 keys entries by digest; a version-1 snapshot (keyed by
+// the keys themselves) fails to restore, and Open rebuilds the index by
+// scanning.
+const snapVersion = 2
 
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, snapshotName) }
 
@@ -45,8 +49,8 @@ func (s *Store) writeSnapshotLocked() error {
 	for _, seg := range s.segs {
 		snap.Segments = append(snap.Segments, snapSegment{ID: seg.id, Size: seg.size})
 	}
-	for key, r := range s.index {
-		snap.Entries = append(snap.Entries, snapEntry{Key: key, Seg: r.seg.id, Off: r.off, Len: r.n})
+	for d, r := range s.index {
+		snap.Entries = append(snap.Entries, snapEntry{Digest: hex.EncodeToString(d[:]), Seg: r.seg.id, Off: r.off, Len: r.n})
 	}
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -126,14 +130,21 @@ func (s *Store) restoreSnapshot() bool {
 		}
 	}
 
-	index := make(map[string]ref, len(snap.Entries))
+	index := make(map[digest]ref, len(snap.Entries))
 	var live int64
 	for _, e := range snap.Entries {
 		seg, ok := byID[e.Seg]
 		if !ok || e.Off < 0 || e.Len < recordHeaderLen+minPayloadLen || e.Off+e.Len > seg.size {
 			return false
 		}
-		index[e.Key] = ref{seg: seg, off: e.Off, n: e.Len}
+		var d digest
+		if len(e.Digest) != hex.EncodedLen(len(d)) {
+			return false
+		}
+		if _, err := hex.Decode(d[:], []byte(e.Digest)); err != nil {
+			return false
+		}
+		index[d] = ref{seg: seg, off: e.Off, n: e.Len}
 		live += e.Len
 	}
 	s.index = index

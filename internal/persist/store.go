@@ -14,6 +14,7 @@ package persist
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -69,6 +70,17 @@ type segment struct {
 	size int64
 }
 
+// digest is what the index keeps of a record's key: the first 16 bytes
+// of its SHA-256, far smaller than the keys themselves. Every read
+// re-checks the key stored in the record, so two keys with one digest
+// can only cost a miss, never a wrong answer.
+type digest [16]byte
+
+func digestOf(key string) digest {
+	sum := sha256.Sum256([]byte(key))
+	return digest(sum[:16])
+}
+
 // ref locates one live record.
 type ref struct {
 	seg *segment
@@ -85,7 +97,7 @@ type Store struct {
 
 	mu     sync.RWMutex
 	segs   []*segment // ascending id; last is active
-	index  map[string]ref
+	index  map[digest]ref
 	dead   int64 // bytes owned by superseded or tombstoned records
 	broken bool
 	closed bool
@@ -132,7 +144,7 @@ func Open(opts Options) (*Store, error) {
 		fs:       opts.FS,
 		maxBytes: opts.MaxBytes,
 		segBytes: opts.SegmentBytes,
-		index:    make(map[string]ref),
+		index:    make(map[digest]ref),
 	}
 	if s.fs == nil {
 		s.fs = OS
@@ -233,7 +245,7 @@ func (s *Store) scanAll() {
 			continue
 		}
 		for _, e := range entries {
-			s.applyEntry(e.kind, e.key, ref{seg: seg, off: e.off, n: e.n})
+			s.applyEntry(e.kind, e.d, ref{seg: seg, off: e.off, n: e.n})
 		}
 		kept = append(kept, seg)
 	}
@@ -242,7 +254,7 @@ func (s *Store) scanAll() {
 
 type scanEntry struct {
 	kind byte
-	key  string
+	d    digest
 	off  int64
 	n    int64
 }
@@ -265,7 +277,7 @@ func (s *Store) scanSegment(seg *segment) ([]scanEntry, segVerdict) {
 		kind, key, _, n, err := readRecordAt(seg.f, off, seg.size, maxRecordLen)
 		switch {
 		case err == nil:
-			entries = append(entries, scanEntry{kind: kind, key: key, off: off, n: n})
+			entries = append(entries, scanEntry{kind: kind, d: digestOf(key), off: off, n: n})
 			off += n
 		case errors.Is(err, errTorn):
 			s.torn.Add(1)
@@ -288,22 +300,23 @@ func (s *Store) scanSegment(seg *segment) ([]scanEntry, segVerdict) {
 
 // applyEntry folds one log record into the index with dead-byte
 // accounting.
-func (s *Store) applyEntry(kind byte, key string, r ref) {
-	if old, ok := s.index[key]; ok {
+func (s *Store) applyEntry(kind byte, d digest, r ref) {
+	if old, ok := s.index[d]; ok {
 		s.dead += old.n
 	}
 	if kind == kindTombstone {
-		delete(s.index, key)
+		delete(s.index, d)
 		s.dead += r.n
 		return
 	}
-	s.index[key] = r
+	s.index[d] = r
 }
 
 // Get returns the stored value for key. The record's checksum and key
 // are re-verified on every read; a record that fails verification is
 // dropped from the index and counted corrupt, and the caller sees a
-// plain miss — never bad bytes.
+// plain miss — never bad bytes. A sound record of another key with the
+// same digest is a plain miss too.
 func (s *Store) Get(key string) ([]byte, bool) { return s.read(key, true) }
 
 // read is Get's body; count false skips the hit/miss counters so
@@ -315,7 +328,8 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 		s.mu.RUnlock()
 		return nil, false
 	}
-	r, ok := s.index[key]
+	d := digestOf(key)
+	r, ok := s.index[d]
 	s.mu.RUnlock()
 	if !ok {
 		if count {
@@ -324,17 +338,23 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 		return nil, false
 	}
 	kind, gotKey, value, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
-	if err != nil || kind != kindPut || gotKey != key {
+	if err != nil || kind != kindPut {
 		s.corrupt.Add(1)
 		if count {
 			s.misses.Add(1)
 		}
 		s.mu.Lock()
-		if cur, ok := s.index[key]; ok && cur == r {
-			delete(s.index, key)
+		if cur, ok := s.index[d]; ok && cur == r {
+			delete(s.index, d)
 			s.dead += r.n
 		}
 		s.mu.Unlock()
+		return nil, false
+	}
+	if gotKey != key {
+		if count {
+			s.misses.Add(1)
+		}
 		return nil, false
 	}
 	if count {
@@ -347,7 +367,7 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 func (s *Store) Has(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.index[key]
+	_, ok := s.index[digestOf(key)]
 	return ok
 }
 
@@ -370,7 +390,7 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 // tombstone and the records it shadows.
 func (s *Store) Delete(ctx context.Context, key string) error {
 	s.mu.RLock()
-	_, present := s.index[key]
+	_, present := s.index[digestOf(key)]
 	s.mu.RUnlock()
 	if !present {
 		return nil
@@ -415,7 +435,7 @@ func (s *Store) append(ctx context.Context, key string, rec []byte, tombstone bo
 	if tombstone {
 		kind = kindTombstone
 	}
-	s.applyEntry(kind, key, r)
+	s.applyEntry(kind, digestOf(key), r)
 	return nil
 }
 
@@ -466,9 +486,9 @@ func (s *Store) maybeCompactLocked(ctx context.Context) {
 	if s.maxBytes > 0 {
 		for total > s.maxBytes && len(s.segs) > 1 {
 			oldest := s.segs[0]
-			for key, r := range s.index {
+			for d, r := range s.index {
 				if r.seg == oldest {
-					delete(s.index, key)
+					delete(s.index, d)
 					s.evictedKeys.Add(1)
 				}
 			}
@@ -516,36 +536,37 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	}
 
 	// Rewrite live records in stable (segment, offset) order for
-	// reproducible output and sequential reads.
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
+	// reproducible output and sequential reads, each under the key read
+	// back from the record itself.
+	ds := make([]digest, 0, len(s.index))
+	for d := range s.index {
+		ds = append(ds, d)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := s.index[keys[i]], s.index[keys[j]]
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := s.index[ds[i]], s.index[ds[j]]
 		if a.seg.id != b.seg.id {
 			return a.seg.id < b.seg.id
 		}
 		return a.off < b.off
 	})
-	newRefs := make(map[string]ref, len(keys))
+	newRefs := make(map[digest]ref, len(ds))
 	var off int64
 	seg := &segment{id: newID, path: path}
-	for _, key := range keys {
-		r := s.index[key]
-		kind, gotKey, value, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
-		if err != nil || kind != kindPut || gotKey != key {
+	for _, d := range ds {
+		r := s.index[d]
+		kind, key, value, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
+		if err != nil || kind != kindPut || digestOf(key) != d {
 			// Rot discovered during compaction: drop the record, count
 			// it, and keep going — same contract as Get.
 			s.corrupt.Add(1)
-			delete(s.index, key)
+			delete(s.index, d)
 			continue
 		}
 		rec := encodeRecord(kindPut, key, value)
 		if _, err := f.WriteAt(rec, off); err != nil {
 			return abort(fmt.Errorf("persist: compact write: %w", err))
 		}
-		newRefs[key] = ref{seg: seg, off: off, n: int64(len(rec))}
+		newRefs[d] = ref{seg: seg, off: off, n: int64(len(rec))}
 		off += int64(len(rec))
 	}
 	if err := f.Sync(); err != nil {
@@ -562,8 +583,8 @@ func (s *Store) compactLocked(ctx context.Context) error {
 		_ = s.fs.Remove(o.path)
 	}
 	s.segs = []*segment{seg}
-	for key := range s.index {
-		s.index[key] = newRefs[key]
+	for d := range s.index {
+		s.index[d] = newRefs[d]
 	}
 	s.dead = 0
 	s.compactions.Add(1)

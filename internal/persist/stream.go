@@ -78,20 +78,25 @@ func (f *FrameReader) Next() (key string, value []byte, err error) {
 
 // Export invokes fn for every live record whose key satisfies pred, in
 // sorted key order so an export stream is deterministic for a given
-// store state. Values are re-read (and CRC-verified) from disk without
-// touching the hit/miss counters — an export is replication traffic,
-// not cache traffic. Records that fail verification mid-export are
-// skipped (the store's read path quarantines them); fn's first error
-// aborts the walk and is returned.
+// store state. The index holds only digests, so each record's key is
+// read back from disk to apply pred and sort; values are then re-read
+// (and CRC-verified) without touching the hit/miss counters — an
+// export is replication traffic, not cache traffic. Records that fail
+// verification mid-export are skipped (the store's read path
+// quarantines them); fn's first error aborts the walk and is returned.
 func (s *Store) Export(pred func(key string) bool, fn func(key string, value []byte) error) error {
 	s.mu.RLock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		if pred == nil || pred(k) {
+	ds := make([]digest, 0, len(s.index))
+	for d := range s.index {
+		ds = append(ds, d)
+	}
+	s.mu.RUnlock()
+	var keys []string
+	for _, d := range ds {
+		if k, ok := s.keyOf(d); ok && (pred == nil || pred(k)) {
 			keys = append(keys, k)
 		}
 	}
-	s.mu.RUnlock()
 	sort.Strings(keys)
 	for _, k := range keys {
 		v, ok := s.read(k, false)
@@ -103,4 +108,17 @@ func (s *Store) Export(pred func(key string) bool, fn func(key string, value []b
 		}
 	}
 	return nil
+}
+
+// keyOf reads back the key of d's live record; false when d has left
+// the index or its record does not verify.
+func (s *Store) keyOf(d digest) (string, bool) {
+	s.mu.RLock()
+	r, ok := s.index[d]
+	s.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	kind, key, _, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
+	return key, err == nil && kind == kindPut
 }

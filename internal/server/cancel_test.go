@@ -30,51 +30,45 @@ func (c *flipCtx) Err() error {
 	return nil
 }
 
-// TestVectorCancellationStopsWithinChunk: a ten-megareference strided
-// job on the vector path (assoc organisation: no closed form) is
-// cancelled at the third checkpoint and must stop having burned exactly
-// two chunks — not the full job.
-func TestVectorCancellationStopsWithinChunk(t *testing.T) {
-	req := SimulateRequest{
-		Cache:   cache.Spec{Kind: "assoc", Lines: 1 << 14, Ways: 4},
-		Pattern: trace.Pattern{Name: "strided", Stride: 3, N: 1 << 20, Stream: 1},
-		Passes:  10, // ~10.5M references if allowed to finish
-	}.Normalize()
-	ctx := &flipCtx{Context: context.Background(), after: 2}
-	_, err := runSimulate(ctx, req, evalOpts{})
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("partial error does not unwrap to Canceled: %v", err)
-	}
-	if pe.Refs != 2*evalChunk {
-		t.Errorf("stopped after %d refs, want exactly %d (two chunks before the flip)", pe.Refs, 2*evalChunk)
-	}
-}
-
-// TestReplayCancellationStopsWithinChunk: same contract on the batch
-// replay path (subblock pattern, so neither analytic nor vector).
+// TestReplayCancellationStopsWithinChunk: a ten-megareference job on
+// the batch replay path (assoc organisation, so no closed form) stops
+// within a chunk of the checkpoint that observes the cancellation, not
+// after the full job. The replay checks the context after every
+// evalChunk references and between passes.
 func TestReplayCancellationStopsWithinChunk(t *testing.T) {
-	req := SimulateRequest{
-		Cache:   cache.Spec{Kind: "assoc", Lines: 1 << 14, Ways: 4},
-		Pattern: trace.Pattern{Name: "subblock", LD: 2048, B1: 1024, B2: 1024, Stream: 1},
-		Passes:  10, // ~10.5M references if allowed to finish
-	}.Normalize()
-	ctx := &flipCtx{Context: context.Background(), after: 1}
-	_, err := runSimulate(ctx, req, evalOpts{})
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("partial error does not unwrap to Canceled: %v", err)
-	}
-	// The replay checks its budget every evalChunk references; one check
-	// passes, the second cancels, so at most two chunks completed.
-	if pe.Refs < evalChunk || pe.Refs > 2*evalChunk {
-		t.Errorf("stopped after %d refs, want within (%d, %d]", pe.Refs, evalChunk, 2*evalChunk)
+	for _, tc := range []struct {
+		name     string
+		pattern  trace.Pattern
+		after    int64  // Err calls that pass before the flip
+		min, max uint64 // bounds on the references completed
+	}{
+		// Passes of 2^20 references, a multiple of evalChunk: the first
+		// two checkpoints pass and the third, after the third chunk,
+		// cancels, so exactly three chunks completed.
+		{"strided", trace.Pattern{Name: "strided", Stride: 3, N: 1 << 20, Stream: 1}, 2, 3 * evalChunk, 3 * evalChunk},
+		// One check passes, the second cancels, so between one and two
+		// chunks completed.
+		{"subblock", trace.Pattern{Name: "subblock", LD: 2048, B1: 1024, B2: 1024, Stream: 1}, 1, evalChunk, 2 * evalChunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := SimulateRequest{
+				Cache:   cache.Spec{Kind: "assoc", Lines: 1 << 14, Ways: 4},
+				Pattern: tc.pattern,
+				Passes:  10, // ~10.5M references if allowed to finish
+			}.Normalize()
+			ctx := &flipCtx{Context: context.Background(), after: tc.after}
+			_, err := runSimulate(ctx, req, evalOpts{})
+			var pe *PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PartialError", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("partial error does not unwrap to Canceled: %v", err)
+			}
+			if pe.Refs < tc.min || pe.Refs > tc.max {
+				t.Errorf("stopped after %d refs, want within [%d, %d]", pe.Refs, tc.min, tc.max)
+			}
+		})
 	}
 }
 

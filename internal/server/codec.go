@@ -143,7 +143,8 @@ type SimulateResponse struct {
 	HitRatio    float64     `json:"hitRatio"`
 	MissRatio   float64     `json:"missRatio"`
 	// AdderSteps counts the Mersenne address unit's c-bit end-around
-	// additions (prime mapping driven through the vector API only).
+	// additions for a strided or diagonal job on a prime-mapped cache,
+	// in closed form (see analyticAdderSteps); 0 otherwise.
 	AdderSteps uint64 `json:"adderSteps,omitempty"`
 	// Analytic reports the stats were computed by the closed-form
 	// strided-sweep model (cross-checked against replay at admission)

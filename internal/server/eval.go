@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"primecache/internal/cache"
-	"primecache/internal/core"
 	"primecache/internal/mersenne"
 	"primecache/internal/obs"
 	"primecache/internal/oracle"
@@ -33,6 +32,9 @@ type evalOpts struct {
 	// analyticMinRefs to be answered by the closed form, flagged
 	// Degraded, when the server is shedding load.
 	degrade bool
+	// shelf lends the job an idle simulator of its cache spec; nil
+	// gives the job a shelf of its own, so it builds a fresh one.
+	shelf *simShelf
 }
 
 // PartialError reports a simulation the context stopped mid-flight: the
@@ -65,77 +67,92 @@ func runSimulate(ctx context.Context, req SimulateRequest, opt evalOpts) (*Simul
 	// the closed form is cheaper than simulating) in O(passes)
 	// arithmetic, guarded by a replayed cross-check at admission.
 	_, aspan := obs.Start(ctx, "eval.analytic")
-	resp, err := trySimulateAnalytic(req, opt.degrade)
+	resp := trySimulateAnalytic(req, opt.degrade)
 	aspan.SetAttr("hit", strconv.FormatBool(resp != nil))
 	if resp != nil {
 		aspan.SetAttr("degraded", strconv.FormatBool(resp.Degraded))
 	}
 	aspan.End()
-	if err != nil {
-		return nil, err
-	} else if resp != nil {
+	if resp != nil {
 		return resp, nil
 	}
 
-	// Strided and diagonal patterns on vector-capable organisations run
-	// through the vector API so the prime cache's Figure-1 address unit
-	// is exercised (mirroring cmd/vcachesim); everything else streams the
-	// pattern through the batch API in fixed-size chunks — the trace is
-	// never materialised, and the replay checks the context every
-	// evalChunk references so a dead client stops burning CPU.
-	if req.Pattern.Name == "strided" || req.Pattern.Name == "diagonal" {
-		if vc, err := core.FromSpec(req.Cache); err == nil {
-			return runSimulateVector(ctx, req, vc)
-		}
+	// Everything else streams the pattern through the batch API in
+	// fixed-size chunks: the trace is never materialised, and the replay
+	// checks the context every evalChunk references so a dead client
+	// stops burning CPU.
+	if opt.shelf == nil {
+		opt.shelf = new(simShelf)
 	}
-	sim, err := req.Cache.Build()
+	b, reused, err := opt.shelf.checkout(req.Cache)
 	if err != nil {
 		return nil, err
 	}
 	_, rspan := obs.Start(ctx, "eval.replay")
-	stats, refsDone, err := trace.ReplayPatternContext(ctx, sim, req.Pattern, req.Passes, evalChunk)
+	stats, refsDone, err := trace.ReplayPatternContext(ctx, b.sim, req.Pattern, req.Passes, evalChunk)
 	rspan.SetAttr("refs", strconv.FormatUint(refsDone, 10))
+	rspan.SetAttr("reused", strconv.FormatBool(reused))
 	rspan.End()
+	var victim *cache.VictimStats
+	if v, ok := b.sim.(*cache.VictimCache); ok {
+		vs := v.VictimStats()
+		victim = &vs
+	}
+	opt.shelf.checkin(b)
 	if err != nil {
 		return nil, &PartialError{Refs: refsDone, Err: err}
 	}
-	resp = &SimulateResponse{
-		Cache:       sim.Describe(),
-		Spec:        req.Cache.String(),
-		Pattern:     req.Pattern.String(),
-		Passes:      req.Passes,
-		RefsPerPass: int(refsDone) / req.Passes,
-		Stats:       stats,
-	}
-	resp.HitRatio = resp.Stats.HitRatio()
-	resp.MissRatio = resp.Stats.MissRatio()
-	if v, ok := sim.(*cache.VictimCache); ok {
-		vs := v.VictimStats()
-		resp.Victim = &vs
-	}
+	resp = simulateResponse(req, stats)
+	resp.Victim = victim
 	return resp, nil
 }
 
-// trySimulateAnalytic answers a qualifying job via the closed-form
-// strided-sweep model. It returns (nil, nil) when the job does not
+// simulateResponse assembles the response to a normalised job from its
+// stats. Strided and diagonal jobs also get the address unit's cost.
+func simulateResponse(req SimulateRequest, stats cache.Stats) *SimulateResponse {
+	p := req.Pattern
+	resp := &SimulateResponse{
+		Cache:       req.Cache.Describe(),
+		Spec:        req.Cache.String(),
+		Pattern:     p.String(),
+		Passes:      req.Passes,
+		RefsPerPass: p.RefCount(),
+		Stats:       stats,
+		HitRatio:    stats.HitRatio(),
+		MissRatio:   stats.MissRatio(),
+	}
+	if stride, ok := vectorStride(p); ok {
+		resp.AdderSteps = analyticAdderSteps(req.Cache, p.Start, stride, p.N, req.Passes)
+	}
+	return resp
+}
+
+// vectorStride returns the word stride of a pattern that is one strided
+// vector per pass (strided and diagonal); ok is false for the others.
+func vectorStride(p trace.Pattern) (stride int64, ok bool) {
+	switch p.Name {
+	case "strided":
+		return p.Stride, true
+	case "diagonal":
+		return int64(p.LD) + 1, true
+	}
+	return 0, false
+}
+
+// trySimulateAnalytic answers a qualifying normalised job via the
+// closed-form strided-sweep model. It returns nil when the job does not
 // qualify — wrong pattern or organisation, too small to bother, model
 // declined, or the admission cross-check failed (in which case the
 // caller simulates normally, which is always correct). With degrade
 // set, jobs below analyticMinRefs still qualify as long as the closed
 // form (whose cost is dominated by the guard replay) is meaningfully
 // cheaper than simulating; their responses carry Degraded.
-func trySimulateAnalytic(req SimulateRequest, degrade bool) (*SimulateResponse, error) {
-	p := req.Pattern
-	var stride int64
-	switch p.Name {
-	case "strided":
-		stride = p.Stride
-	case "diagonal":
-		stride = int64(p.LD) + 1
-	default:
-		return nil, nil
+func trySimulateAnalytic(req SimulateRequest, degrade bool) *SimulateResponse {
+	p, spec := req.Pattern, req.Cache
+	stride, ok := vectorStride(p)
+	if !ok {
+		return nil
 	}
-	spec := req.Cache.Normalize()
 	var sets int
 	switch spec.Kind {
 	case "prime":
@@ -143,80 +160,46 @@ func trySimulateAnalytic(req SimulateRequest, degrade bool) (*SimulateResponse, 
 	case "direct":
 		sets = spec.Lines
 	default:
-		return nil, nil
+		return nil
 	}
 	refs := int64(p.N) * int64(req.Passes)
 	degraded := false
 	if refs < analyticMinRefs {
 		if !degrade {
-			return nil, nil
+			return nil
 		}
 		// Degraded path: only worth it when the guard replay (at most 2
 		// passes over min(n, 2·sets+1) references) costs well under the
 		// job itself; otherwise answering analytically sheds no load.
 		guardRefs := int64(2 * (2*sets + 1))
 		if refs <= 2*guardRefs {
-			return nil, nil
+			return nil
 		}
 		degraded = true
 	}
-	if _, ok := cache.StridedSweepStats(spec, p.Start, stride, p.N, req.Passes, p.Stream); !ok {
-		return nil, nil // model declines the full instance; skip the guard
+	stats, ok := cache.StridedSweepStats(spec, p.Start, stride, p.N, req.Passes, p.Stream)
+	if !ok {
+		return nil // model declines the full instance; skip the guard
 	}
 	// Admission guard: replay a shrunken instance of the same sweep —
 	// same start, stride and stream, n capped at 2C+1 (covering the
 	// n ≤ C and n > C regimes) and two passes — and require the closed
 	// form to match it exactly. A model bug makes the job fall back to
 	// full simulation rather than return wrong numbers.
-	nGuard, passesGuard := p.N, req.Passes
-	if lim := 2*sets + 1; nGuard > lim {
-		nGuard = lim
-	}
-	if passesGuard > 2 {
-		passesGuard = 2
-	}
+	nGuard, passesGuard := min(p.N, 2*sets+1), min(req.Passes, 2)
 	if oracle.VerifyStridedAnalytic(spec, p.Start, stride, nGuard, passesGuard, p.Stream) != nil {
-		return nil, nil
+		return nil
 	}
-	resp, err := simulateAnalytic(req, spec, stride)
-	if resp != nil {
-		resp.Degraded = degraded
-	}
-	return resp, err
+	resp := simulateResponse(req, stats)
+	resp.Analytic, resp.Degraded = true, degraded
+	return resp
 }
 
-// simulateAnalytic assembles the closed-form response for a sweep the
-// caller has already qualified and guarded. It still returns (nil, nil)
-// when the model itself declines the instance.
-func simulateAnalytic(req SimulateRequest, spec cache.Spec, stride int64) (*SimulateResponse, error) {
-	p := req.Pattern
-	stats, ok := cache.StridedSweepStats(spec, p.Start, stride, p.N, req.Passes, p.Stream)
-	if !ok {
-		return nil, nil
-	}
-	sim, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	resp := &SimulateResponse{
-		Cache:       sim.Describe(),
-		Spec:        spec.String(),
-		Pattern:     p.String(),
-		Passes:      req.Passes,
-		RefsPerPass: p.N,
-		Stats:       stats,
-		AdderSteps:  analyticAdderSteps(spec, p.Start, stride, p.N, req.Passes),
-		Analytic:    true,
-	}
-	resp.HitRatio = resp.Stats.HitRatio()
-	resp.MissRatio = resp.Stats.MissRatio()
-	return resp, nil
-}
-
-// analyticAdderSteps reproduces, without running it, the address-unit
-// cost the vector path charges a prime-mapped sweep: per evalChunk-sized
-// LoadVector, one stride conversion, one start conversion, and one
-// end-around addition per remaining element (see runSimulateVector and
+// analyticAdderSteps is the address-unit cost of a strided sweep on a
+// prime-mapped cache, in closed form: the cost of driving the sweep
+// through the Figure-1 unit (core.VectorCache.LoadVector) in
+// evalChunk-sized vectors, each paying one stride conversion, one start
+// conversion and one end-around addition per remaining element (see
 // mersenne.AddressUnit). Non-prime organisations have no address unit.
 func analyticAdderSteps(spec cache.Spec, start uint64, stride int64, n, passes int) uint64 {
 	if spec.Kind != "prime" {
@@ -234,69 +217,12 @@ func analyticAdderSteps(spec cache.Spec, start uint64, stride int64, n, passes i
 	var perPass uint64
 	cur := start
 	for done := 0; done < n; done += evalChunk {
-		k := n - done
-		if k > evalChunk {
-			k = evalChunk
-		}
+		k := min(n-done, evalChunk)
 		_, startSteps := mod.ReduceSteps(cur)
 		perPass += uint64(strideSteps) + uint64(startSteps) + uint64(k-1)
 		cur += uint64(int64(k) * stride)
 	}
 	return perPass * uint64(passes)
-}
-
-// runSimulateVector drives strided/diagonal patterns through the vector
-// front-end in chunks, checking the context between chunks; a stopped
-// job reports its completed references via PartialError.
-func runSimulateVector(ctx context.Context, req SimulateRequest, vc *core.VectorCache) (*SimulateResponse, error) {
-	p := req.Pattern
-	stride := p.Stride
-	if p.Name == "diagonal" {
-		stride = int64(p.LD) + 1
-	}
-	// One span for the whole vector drive: per-chunk spans would bloat a
-	// big job's trace past the retention cap, so the chunk count rides
-	// along as an attribute instead.
-	_, vspan := obs.Start(ctx, "eval.vector")
-	var refsDone uint64
-	var chunks int
-	for pass := 0; pass < req.Passes; pass++ {
-		start := p.Start
-		for done := 0; done < p.N; done += evalChunk {
-			if err := ctx.Err(); err != nil {
-				vspan.SetAttr("chunks", strconv.Itoa(chunks))
-				vspan.End()
-				return nil, &PartialError{Refs: refsDone, Err: err}
-			}
-			n := p.N - done
-			if n > evalChunk {
-				n = evalChunk
-			}
-			if _, err := vc.LoadVector(start, stride, n, p.Stream); err != nil {
-				vspan.SetAttr("chunks", strconv.Itoa(chunks))
-				vspan.End()
-				return nil, err
-			}
-			refsDone += uint64(n)
-			chunks++
-			start += uint64(int64(n) * stride)
-		}
-	}
-	vspan.SetAttr("chunks", strconv.Itoa(chunks))
-	vspan.SetAttr("refs", strconv.FormatUint(refsDone, 10))
-	vspan.End()
-	resp := &SimulateResponse{
-		Cache:       vc.Cache().Describe(),
-		Spec:        req.Cache.String(),
-		Pattern:     p.String(),
-		Passes:      req.Passes,
-		RefsPerPass: p.N,
-		Stats:       vc.Stats(),
-		AdderSteps:  vc.AdderSteps(),
-	}
-	resp.HitRatio = resp.Stats.HitRatio()
-	resp.MissRatio = resp.Stats.MissRatio()
-	return resp, nil
 }
 
 // machineWork converts a normalised ModelRequest into validated vcm

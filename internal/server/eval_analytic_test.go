@@ -9,10 +9,94 @@ import (
 	"primecache/internal/trace"
 )
 
-// TestAnalyticMatchesVectorPath forces the same qualifying job down both
-// the closed-form path and the vector simulation path and requires
-// byte-identical responses (stats, refs, adder steps) — the analytic
-// path must be a pure optimisation, invisible except for the flag.
+// vectorDrive computes req's response on the vector front-end: one
+// core.VectorCache.LoadVector per evalChunk elements of each pass, with
+// the prime cache's Figure-1 address unit cross-checking every index
+// and counting its additions. It is the reference the closed form and
+// the served batch replay are pinned against.
+func vectorDrive(t *testing.T, req SimulateRequest) *SimulateResponse {
+	t.Helper()
+	req = req.Normalize()
+	p := req.Pattern
+	stride, ok := vectorStride(p)
+	if !ok {
+		t.Fatalf("pattern %s is not one vector per pass", p)
+	}
+	vc, err := core.FromSpec(req.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < req.Passes; pass++ {
+		start := p.Start
+		for done := 0; done < p.N; done += evalChunk {
+			n := min(p.N-done, evalChunk)
+			if _, err := vc.LoadVector(start, stride, n, p.Stream); err != nil {
+				t.Fatal(err)
+			}
+			start += uint64(int64(n) * stride)
+		}
+	}
+	resp := &SimulateResponse{
+		Cache:       vc.Cache().Describe(),
+		Spec:        req.Cache.String(),
+		Pattern:     p.String(),
+		Passes:      req.Passes,
+		RefsPerPass: p.N,
+		Stats:       vc.Stats(),
+		AdderSteps:  vc.AdderSteps(),
+	}
+	resp.HitRatio = resp.Stats.HitRatio()
+	resp.MissRatio = resp.Stats.MissRatio()
+	return resp
+}
+
+// TestServedMatchesVectorFrontEnd pins what the server answers for
+// strided and diagonal jobs by batch replay, with AdderSteps from
+// analyticAdderSteps, against the vector front-end driving the same
+// sweep: the whole response must agree, the address unit's additions
+// included. Lengths fall below, at and above one evalChunk vector.
+func TestServedMatchesVectorFrontEnd(t *testing.T) {
+	prime := cache.Spec{Kind: "prime", C: 13}
+	for _, tc := range []struct {
+		name string
+		req  SimulateRequest
+	}{
+		{"below chunk", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 9, Stride: 512, N: 1000, Stream: 1}, Passes: 3}},
+		{"at chunk", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: 8193, N: evalChunk, Stream: 1}, Passes: 2}},
+		{"above chunk", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 7, Stride: 129, N: 2*evalChunk + 17, Stream: 1}, Passes: 2}},
+		{"negative stride", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: -70001, N: evalChunk + 5, Stream: 1}, Passes: 2}},
+		{"diagonal", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "diagonal", Start: 3, LD: 1 << 20, N: evalChunk + 100, Stream: 2}, Passes: 2}},
+		{"direct", SimulateRequest{Cache: cache.Spec{Kind: "direct", Lines: 8192},
+			Pattern: trace.Pattern{Name: "strided", Stride: 64, N: 4096, Stream: 1}, Passes: 2}},
+		{"prime-assoc", SimulateRequest{Cache: cache.Spec{Kind: "prime-assoc", C: 7, Ways: 2},
+			Pattern: trace.Pattern{Name: "diagonal", LD: 126, N: 3000, Stream: 1}, Passes: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req.Normalize()
+			served, err := runSimulate(context.Background(), req, evalOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served.Analytic {
+				t.Fatal("job was answered by the closed form, not replayed")
+			}
+			if want := vectorDrive(t, req); *served != *want {
+				t.Errorf("served response diverges from the vector front-end:\n served %+v\n vector %+v", *served, *want)
+			}
+		})
+	}
+}
+
+// TestAnalyticMatchesVectorPath answers the same job in closed form, as
+// the analytic path does once its gate and guard pass, and on the
+// vector front-end, and requires byte-identical responses (stats, refs,
+// adder steps) — the analytic path must be a pure optimisation,
+// invisible except for the flag.
 func TestAnalyticMatchesVectorPath(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -46,29 +130,13 @@ func TestAnalyticMatchesVectorPath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req.Normalize()
-			stride := req.Pattern.Stride
-			if req.Pattern.Name == "diagonal" {
-				stride = int64(req.Pattern.LD) + 1
-			}
-			fast, err := simulateAnalytic(req, req.Cache, stride)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast == nil {
+			stride, _ := vectorStride(req.Pattern)
+			p := req.Pattern
+			stats, ok := cache.StridedSweepStats(req.Cache, p.Start, stride, p.N, req.Passes, p.Stream)
+			if !ok {
 				t.Fatal("closed form declined the sweep")
 			}
-			if !fast.Analytic {
-				t.Fatal("analytic response not flagged")
-			}
-			vc, err := core.FromSpec(req.Cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := runSimulateVector(context.Background(), req, vc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast.Analytic = false
+			fast, slow := simulateResponse(req, stats), vectorDrive(t, req)
 			if *fast != *slow {
 				t.Errorf("analytic response diverges from vector simulation:\n analytic %+v\n vector   %+v", *fast, *slow)
 			}
@@ -105,11 +173,7 @@ func TestAnalyticDoesNotApply(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := trySimulateAnalytic(tc.req.Normalize(), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != nil {
+			if resp := trySimulateAnalytic(tc.req.Normalize(), false); resp != nil {
 				t.Errorf("job unexpectedly qualified for the analytic path: %+v", resp)
 			}
 		})
@@ -142,28 +206,21 @@ func TestSimulateHugeSweepIsAnalytic(t *testing.T) {
 
 // TestAnalyticGateEndToEnd runs one threshold-sized job through
 // trySimulateAnalytic (gate + admission guard + closed form) and the
-// vector path, requiring identical responses.
+// vector front-end, requiring identical responses.
 func TestAnalyticGateEndToEnd(t *testing.T) {
 	req := SimulateRequest{
 		Cache:   cache.Spec{Kind: "prime", C: 13},
 		Pattern: trace.Pattern{Name: "strided", Start: 5, Stride: 512, N: 1 << 19, Stream: 1},
 		Passes:  8, // N × passes == analyticMinRefs exactly
 	}.Normalize()
-	fast, err := trySimulateAnalytic(req, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := trySimulateAnalytic(req, false)
 	if fast == nil {
 		t.Fatal("threshold-sized job did not qualify for the analytic path")
 	}
-	vc, err := core.FromSpec(req.Cache)
-	if err != nil {
-		t.Fatal(err)
+	if !fast.Analytic {
+		t.Fatal("analytic response not flagged")
 	}
-	slow, err := runSimulateVector(context.Background(), req, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := vectorDrive(t, req)
 	fast.Analytic = false
 	if *fast != *slow {
 		t.Errorf("analytic response diverges from vector simulation:\n analytic %+v\n vector   %+v", *fast, *slow)

@@ -164,7 +164,7 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 		}
 		switch {
 		case job.Simulate != nil:
-			resp, err := runSimulate(ctx, *job.Simulate, evalOpts{degrade: degrade})
+			resp, err := runSimulate(ctx, *job.Simulate, evalOpts{degrade: degrade, shelf: &s.shelf})
 			if err == nil && resp.Degraded {
 				s.metrics.Counter("admission.degraded").Inc()
 			}

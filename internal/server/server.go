@@ -113,6 +113,9 @@ type Server struct {
 	callMu sync.Mutex
 	calls  map[string]*inflightCall
 
+	// Idle simulators, lent to the next job with the same cache spec.
+	shelf simShelf
+
 	// Graceful-shutdown bookkeeping: handlers register with inflightWG
 	// under the read lock; Shutdown flips closing under the write lock
 	// and then waits, so the pool only closes after every in-flight

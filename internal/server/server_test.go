@@ -81,13 +81,14 @@ func TestSimulateEndpoint(t *testing.T) {
 	if out.Stats.Accesses != 4*4096 {
 		t.Errorf("accesses = %d, want %d", out.Stats.Accesses, 4*4096)
 	}
-	// A prime-mapped cache has no conflicts on this sweep and the
-	// Figure-1 address unit must have been exercised.
+	// A prime-mapped cache has no conflicts on this sweep, and the
+	// Figure-1 address unit charges one addition per element after the
+	// first of each pass (start and stride need no reduction).
 	if out.Stats.Conflict != 0 {
 		t.Errorf("prime cache saw %d conflict misses on stride-512", out.Stats.Conflict)
 	}
-	if out.AdderSteps == 0 {
-		t.Error("adderSteps = 0; vector path not exercised")
+	if out.AdderSteps != 4*4095 {
+		t.Errorf("adderSteps = %d, want %d", out.AdderSteps, 4*4095)
 	}
 	if out.Memoized {
 		t.Error("first request reported memoized")

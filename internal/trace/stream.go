@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"primecache/internal/cache"
 )
@@ -121,8 +122,13 @@ func (c *Cursor) Next(buf []cache.Access) int {
 
 // replayChunk is the fixed batch size Replay and ReplayPattern stream
 // through cache.AccessBatch: large enough to amortise the batch setup,
-// small enough to live on the stack.
+// small enough to stay in the L1 cache.
 const replayChunk = 256
+
+// replayBufs recycles the replay chunk buffers. A buffer handed to
+// cache.AccessBatch escapes through the Sim interface, so a local array
+// would be a fresh heap allocation on every replay.
+var replayBufs = sync.Pool{New: func() any { return new([replayChunk]cache.Access) }}
 
 // ReplayPattern streams passes passes of p through any cache
 // organisation in fixed-size chunks via the batch API and returns the
@@ -150,7 +156,8 @@ func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes in
 	before := c.Stats()
 	var refsDone uint64
 	budget := checkEvery
-	var buf [replayChunk]cache.Access
+	buf := replayBufs.Get().(*[replayChunk]cache.Access)
+	defer replayBufs.Put(buf)
 	for pass := 0; pass < passes; pass++ {
 		cur.Reset()
 		for {

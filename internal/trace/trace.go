@@ -149,7 +149,8 @@ func FFTStage(baseWord uint64, n, span, stream int) (Trace, error) {
 // identical to per-access replay.
 func Replay(c cache.Sim, t Trace) cache.Stats {
 	before := c.Stats()
-	var buf [replayChunk]cache.Access
+	buf := replayBufs.Get().(*[replayChunk]cache.Access)
+	defer replayBufs.Put(buf)
 	for lo := 0; lo < len(t); lo += replayChunk {
 		hi := lo + replayChunk
 		if hi > len(t) {
