@@ -130,7 +130,9 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Regenerate the golden files for the report renderers, the figures
-# command, and the /metrics exposition after an intended output change.
+# command, the /metrics exposition and the compute endpoints' wire
+# bytes (internal/server/testdata/wire.golden) after an intended
+# output change.
 golden-update:
 	$(GO) test ./internal/report/ ./cmd/figures/ -update
 	$(GO) test ./internal/server/ -run Golden -update
