@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,19 +19,15 @@ import (
 // flag is deliberately excluded from the hash: it describes this
 // request's cache luck, not the entity.
 
-// resultETag computes the quoted strong validator for a computed
-// payload under its canonical job key.
-func resultETag(key string, payload any) (string, bool) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return "", false
-	}
+// resultETag computes the quoted strong validator for a result's
+// canonical JSON under its canonical job key.
+func resultETag(key string, body []byte) string {
 	h := sha256.New()
 	h.Write([]byte(key))
 	h.Write([]byte{0})
 	h.Write(body)
 	sum := h.Sum(nil)
-	return `"` + hex.EncodeToString(sum[:16]) + `"`, true
+	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
 // ETagMatch implements the If-None-Match strong comparison: a bare *
@@ -47,21 +44,43 @@ func ETagMatch(headerValue, etag string) bool {
 	return false
 }
 
-// writeConditional sets the ETag header and either answers 304 (no
-// body) when the client's If-None-Match matches, or writes the full
-// body. The memoized verdict rides the X-Vcached-Memoized header on
-// 304s so clients keep an accurate flag without a body.
-func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key string, payload any, memoized bool, body any) {
-	if etag, ok := resultETag(key, payload); ok {
-		w.Header().Set("ETag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
-			s.metrics.Counter("etag.notModified").Inc()
-			w.Header().Set(MemoizedHeader, strconv.FormatBool(memoized))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+// writeConditional answers a compute endpoint from its result,
+// marshalled once: those bytes give the ETag, and 304 (no body) goes to
+// a client whose If-None-Match matches. Otherwise the body is the same
+// bytes with the memoized flag spliced in as the last field, indented
+// the way writeJSON's encoder would. The memoized verdict rides the
+// X-Vcached-Memoized header on 304s so clients keep an accurate flag
+// without a body.
+func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key string, payload any, memoized bool) {
+	compact, err := json.Marshal(payload)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	etag := resultETag(key, compact)
+	w.Header().Set("ETag", etag)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
+		s.metrics.Counter("etag.notModified").Inc()
+		w.Header().Set(MemoizedHeader, strconv.FormatBool(memoized))
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	// compact is a JSON object with at least one field, so the flag
+	// goes in before its closing brace after a comma.
+	flagged := make([]byte, 0, len(compact)+len(`,"memoized":false}`)+1)
+	flagged = append(flagged, compact[:len(compact)-1]...)
+	flagged = append(flagged, `,"memoized":`...)
+	flagged = strconv.AppendBool(flagged, memoized)
+	flagged = append(flagged, "}\n"...)
+	var body bytes.Buffer
+	body.Grow(2 * len(flagged))
+	if err := json.Indent(&body, flagged, "", "  "); err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes()) // the connection is the only failure mode here
 }
 
 // MemoizedHeader carries the memoized verdict on bodiless 304

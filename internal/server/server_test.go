@@ -586,7 +586,7 @@ func TestComputeJobSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, m, err := s.computeJob(context.Background(), job, false)
+			_, m, err := s.computeJob(context.Background(), job, job.Key(), false)
 			if err != nil {
 				t.Error(err)
 				return
