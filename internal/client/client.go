@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -228,6 +229,48 @@ func (c *Client) Sweep(ctx context.Context, req server.SweepRequest) ([]server.S
 	return out.Results, nil
 }
 
+// SweepRaw runs a batch and hands each result to fn as its line is
+// read off the response, without decoding it (see server.SweepReader):
+// the body is streamed, never buffered whole. A body that breaks the
+// /v1/sweep framing fails the call. An error from fn stops the read and
+// is returned. The call is retried like any other only until the first
+// result has been handed to fn; after that a failure is returned as is,
+// since a retry would hand those results over again.
+func (c *Client) SweepRaw(ctx context.Context, req server.SweepRequest, fn func(server.SweepLine) error) error {
+	_, err := c.do(ctx, http.MethodPost, "/v1/sweep", req, streamBody(func(body io.Reader) error {
+		sr := server.NewSweepReader(body)
+		delivered := false
+		for {
+			line, err := sr.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				err = fmt.Errorf("client: reading /v1/sweep response: %w", err)
+				if delivered {
+					return afterDelivery{err}
+				}
+				return err
+			}
+			delivered = true
+			if err := fn(line); err != nil {
+				return afterDelivery{err}
+			}
+		}
+	}), "")
+	return err
+}
+
+// streamBody, passed to do as its out value, consumes a 2xx response
+// body as a stream instead of having it buffered and decoded.
+type streamBody func(io.Reader) error
+
+// afterDelivery marks a failure of a streamed call that had already
+// handed results to its caller, which do must not retry.
+type afterDelivery struct{ error }
+
+func (e afterDelivery) Unwrap() error { return e.error }
+
 // Stats fetches the server's counters (the full tier-specific body;
 // dashboards that only need the uniform blocks should use StatsV2).
 func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
@@ -327,7 +370,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, ifNon
 	for attempt := 0; ; attempt++ {
 		var cd cond
 		cd, lastErr = c.once(ctx, method, path, body, out, ifNoneMatch)
-		if lastErr == nil || ctx.Err() != nil || attempt >= c.retries {
+		if lastErr == nil || ctx.Err() != nil || attempt >= c.retries || errors.As(lastErr, new(afterDelivery)) {
 			return cd, lastErr
 		}
 		var ae *Error
@@ -394,7 +437,11 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return cond{}, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	respBody := io.LimitReader(resp.Body, 64<<20)
+	if read, ok := out.(streamBody); ok && resp.StatusCode/100 == 2 {
+		return cond{}, read(respBody)
+	}
+	data, err := io.ReadAll(respBody)
 	if err != nil {
 		return cond{}, fmt.Errorf("client: reading response: %w", err)
 	}
