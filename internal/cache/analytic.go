@@ -54,7 +54,7 @@ func stridedSweepPasses(spec Spec, startWord uint64, strideWords int64, n, strea
 	if !ok || n < 1 || strideWords == 0 {
 		return Stats{}, Stats{}, false
 	}
-	if !stridedAddrsSafe(startWord, strideWords, n) {
+	if !StridedAddrsSafe(startWord, strideWords, n) {
 		return Stats{}, Stats{}, false
 	}
 	C := int64(sets)
@@ -141,12 +141,14 @@ func analyticSets(spec Spec) (int, bool) {
 	}
 }
 
-// stridedAddrsSafe reports whether every address of the sweep keeps
-// trace.Strided's int64 accumulator within [0, 2^63), where uint64
-// conversion is the identity and set residues step uniformly. For a
-// prime modulus this matters because 2^64 is not ≡ 0 (mod 2^c − 1): a
-// wrap of the accumulator would shift every subsequent residue.
-func stridedAddrsSafe(startWord uint64, strideWords int64, n int) bool {
+// StridedAddrsSafe reports whether every address of an n-element
+// strided sweep (n >= 1) lies in [0, 2^62), so trace.Strided's int64
+// accumulator never overflows, uint64 conversion is the identity and
+// set residues step uniformly. For a prime modulus this matters because
+// 2^64 is not ≡ 0 (mod 2^c − 1): a wrap of the accumulator would shift
+// every subsequent residue. It is the domain of the closed form and of
+// core's vector operations.
+func StridedAddrsSafe(startWord uint64, strideWords int64, n int) bool {
 	const lim = int64(1) << 62
 	if startWord >= uint64(lim) {
 		return false
