@@ -60,7 +60,7 @@ func (c *Coordinator) handleAdminList(w http.ResponseWriter, _ *http.Request) {
 			URL: u, Healthy: s.Healthy, Draining: s.Draining, WarmKeys: s.WarmKeys,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAdminJoin adds a backend. Order matters: the joiner is probed,
@@ -70,7 +70,7 @@ func (c *Coordinator) handleAdminList(w http.ResponseWriter, _ *http.Request) {
 // does a request route to a member that is not ready.
 func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	var req client.AdminChangeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := server.DecodeJSON(r.Body, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -120,7 +120,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	})
 
 	c.memberMu.Lock()
-	c.backends[req.URL] = joiner
+	c.backends[req.URL] = c.track(joiner)
 	c.ring = newRing
 	c.ringVersion++
 	version := c.ringVersion
@@ -128,7 +128,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	c.health.add(req.URL, rz.WarmKeys)
 	c.joins.Inc()
 
-	writeJSON(w, http.StatusOK, client.AdminChangeResponse{
+	server.WriteJSON(w, http.StatusOK, client.AdminChangeResponse{
 		RingVersion:     version,
 		Backends:        newRing.Backends(),
 		MigratedKeys:    keys,
@@ -207,13 +207,14 @@ func (c *Coordinator) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 	c.memberMu.Lock()
 	delete(c.backends, target)
 	c.memberMu.Unlock()
+	c.metrics.Remove(backendLabel(target))
 	c.health.remove(target)
 	if leaver != nil {
 		leaver.client.Close()
 	}
 	c.leaves.Inc()
 
-	writeJSON(w, http.StatusOK, client.AdminChangeResponse{
+	server.WriteJSON(w, http.StatusOK, client.AdminChangeResponse{
 		RingVersion:     version,
 		Backends:        newRing.Backends(),
 		MigratedKeys:    keys,

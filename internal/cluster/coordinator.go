@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -103,14 +102,16 @@ func (o Options) withDefaults() Options {
 }
 
 // backendState is one backend as the coordinator sees it: its client
-// plus the gauges /v1/stats reports.
+// plus its rows in the coordinator's registry (label backend=<url>),
+// which /metrics and /v1/stats report. track fills in the rows when the
+// backend enters the member table.
 type backendState struct {
 	url      string
 	client   *client.Client
-	requests server.Counter
-	failures server.Counter
-	inflight server.Gauge
-	latency  server.Histogram
+	requests *obs.Counter
+	failures *obs.Counter
+	inflight *obs.Gauge
+	latency  *obs.Histogram
 }
 
 // Coordinator fronts a set of vcached backends: it routes /v1/simulate
@@ -124,6 +125,10 @@ type Coordinator struct {
 	tracer *obs.Tracer
 	health *health
 	mux    *http.ServeMux
+
+	// metrics holds every counter and gauge /metrics exposes, including
+	// the per-backend rows.
+	metrics *obs.Registry
 
 	// Membership. The ring is copy-on-write: a membership change builds
 	// a whole new Ring and swaps the pointer under memberMu, so a
@@ -139,18 +144,18 @@ type Coordinator struct {
 
 	// Admission valve: nil when disabled.
 	slots chan struct{}
-	shed  server.Counter
+	shed  obs.Counter
 
-	hedges   server.Counter
-	reroutes server.Counter
-	requests server.Counter
+	hedges   obs.Counter
+	reroutes obs.Counter
+	requests obs.Counter
 
 	// Membership-change counters, surfaced in /v1/stats and /metrics.
-	joins           server.Counter
-	leaves          server.Counter
-	migratedKeys    server.Counter
-	migratedBytes   server.Counter
-	migrationErrors server.Counter
+	joins           obs.Counter
+	leaves          obs.Counter
+	migratedKeys    obs.Counter
+	migratedBytes   obs.Counter
+	migrationErrors obs.Counter
 }
 
 // New builds a Coordinator over opts.Backends and runs one synchronous
@@ -169,10 +174,12 @@ func New(opts Options) (*Coordinator, error) {
 		ring:     ring,
 		backends: make(map[string]*backendState, len(opts.Backends)),
 		mux:      http.NewServeMux(),
+		metrics:  obs.NewRegistry(nil),
 	}
+	c.registerMetrics()
 	for _, u := range opts.Backends {
 		copts := append([]client.Option{client.WithRetries(0)}, opts.ClientOptions...)
-		c.backends[u] = &backendState{url: u, client: client.New(u, copts...)}
+		c.backends[u] = c.track(&backendState{url: u, client: client.New(u, copts...)})
 	}
 	if opts.MaxInflight > 0 {
 		c.slots = make(chan struct{}, opts.MaxInflight)
@@ -190,7 +197,7 @@ func New(opts Options) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /v1/readyz", c.tracedLive("readyz", c.handleReadyz))
 	c.mux.HandleFunc("GET /v1/stats", c.tracedLive("stats", c.handleStats))
 	c.mux.HandleFunc("GET /metrics", c.tracedLive("metrics", c.handleMetrics))
-	c.mux.HandleFunc("GET /v1/debug/traces", c.tracedLive("traces", c.handleTraces))
+	c.mux.HandleFunc("GET /v1/debug/traces", c.tracedLive("traces", c.tracer.TracesHandler()))
 	c.mux.HandleFunc("GET /v1/admin/backends", c.tracedLive("admin.list", c.requireAdmin(c.handleAdminList)))
 	c.mux.HandleFunc("POST /v1/admin/backends", c.traced("admin.join", c.requireAdmin(c.handleAdminJoin)))
 	c.mux.HandleFunc("DELETE /v1/admin/backends", c.traced("admin.leave", c.requireAdmin(c.handleAdminLeave)))
@@ -309,14 +316,6 @@ func (c *Coordinator) admit(w http.ResponseWriter) (release func(), ok bool) {
 		writeErr(w, ae)
 		return nil, false
 	}
-}
-
-// pressure returns coordinator admission occupancy in [0, 1].
-func (c *Coordinator) pressure() float64 {
-	if c.slots == nil {
-		return 0
-	}
-	return float64(len(c.slots)) / float64(cap(c.slots))
 }
 
 // requestCtx applies the coordinator's end-to-end timeout.
@@ -556,66 +555,28 @@ func apiErrorFrom(err error) *server.APIError {
 	}
 }
 
-// writeJSON and writeErr mirror the server's response formatting so a
-// coordinator answers byte-compatibly with a single node.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	ae := apiErrorFrom(err)
-	if ae.RetryAfterMs > 0 {
-		secs := (ae.RetryAfterMs + 999) / 1000
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-	}
-	writeJSON(w, ae.Code.HTTPStatus(), server.ErrorEnvelope{Error: ae})
-}
-
-// decodeJSON strictly decodes a request body, like the server does.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return server.Errf(server.CodeInvalidRequest, "decoding request: %v", err)
-	}
-	if dec.More() {
-		return server.Errf(server.CodeInvalidRequest, "trailing data after JSON body")
-	}
-	return nil
-}
+// writeErr answers with the server's error envelope, so a coordinator
+// fails byte-compatibly with a single node.
+func writeErr(w http.ResponseWriter, err error) { server.WriteError(w, apiErrorFrom(err)) }
 
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req server.SimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	release, ok := c.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	key := server.SweepJob{Simulate: &req}.Key()
-	v, err := c.runSingle(ctx, c.currentRing(), key, func(ctx context.Context, cl *client.Client) (any, error) {
+	c.proxyJob(w, r, &req, server.SweepJob{Simulate: &req}, func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Simulate(ctx, req)
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	res := v.(*client.SimulateResult)
-	writeConditional(w, r, res.ETag, res.Memoized, res)
 }
 
 func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	var req server.ModelRequest
-	if err := decodeJSON(r, &req); err != nil {
+	c.proxyJob(w, r, &req, server.SweepJob{Model: &req}, func(ctx context.Context, cl *client.Client) (any, error) {
+		return cl.Model(ctx, req)
+	})
+}
+
+// proxyJob answers one simulate or model request: the body decodes into
+// req, which job wraps, and do runs it on the replica runSingle picks.
+func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request, req any, job server.SweepJob, do func(context.Context, *client.Client) (any, error)) {
+	if err := server.DecodeJSON(r.Body, req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -626,16 +587,17 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := c.requestCtx(r)
 	defer cancel()
-	key := server.SweepJob{Model: &req}.Key()
-	v, err := c.runSingle(ctx, c.currentRing(), key, func(ctx context.Context, cl *client.Client) (any, error) {
-		return cl.Model(ctx, req)
-	})
+	v, err := c.runSingle(ctx, c.currentRing(), job.Key(), do)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	res := v.(*client.ModelResult)
-	writeConditional(w, r, res.ETag, res.Memoized, res)
+	switch res := v.(type) {
+	case *client.SimulateResult:
+		writeConditional(w, r, res.ETag, res.Memoized, res)
+	case *client.ModelResult:
+		writeConditional(w, r, res.ETag, res.Memoized, res)
+	}
 }
 
 // writeConditional echoes the backend's strong validator at the edge:
@@ -653,11 +615,11 @@ func writeConditional(w http.ResponseWriter, r *http.Request, etag string, memoi
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz: the coordinator is ready while at least one backend
@@ -666,10 +628,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	warm := c.health.warmKeysTotal()
 	if c.health.healthyCount() == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, server.ReadyzResponse{Status: "no healthy backends", WarmKeys: warm})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.ReadyzResponse{Status: "no healthy backends", WarmKeys: warm})
 		return
 	}
-	writeJSON(w, http.StatusOK, server.ReadyzResponse{Status: "ok", WarmKeys: warm})
+	server.WriteJSON(w, http.StatusOK, server.ReadyzResponse{Status: "ok", WarmKeys: warm})
 }
 
 // BackendStats is one backend's row in the coordinator's /v1/stats.
@@ -681,8 +643,8 @@ type BackendStats struct {
 	Inflight int64  `json:"inflight"`
 	// P95Us is the observed 95th-percentile latency upper bound (µs) —
 	// the quantity hedge delays are priced from.
-	P95Us   int64                    `json:"p95Us"`
-	Latency server.HistogramSnapshot `json:"latency"`
+	P95Us   int64                 `json:"p95Us"`
+	Latency obs.HistogramSnapshot `json:"latency"`
 }
 
 // StatsResponse is the coordinator's /v1/stats body. Schema 2 shapes
@@ -712,16 +674,10 @@ type StatsResponse struct {
 	// Admission is the coordinator's own valve, in front of the
 	// backends' per-node admission control; Degraded sums the backends'
 	// degraded-answer counters (the coordinator itself never degrades).
-	Admission struct {
-		Capacity int     `json:"capacity"`
-		Queued   int     `json:"queued"`
-		Shed     uint64  `json:"shed"`
-		Degraded uint64  `json:"degraded"`
-		Pressure float64 `json:"pressure"`
-	} `json:"admission"`
-	Requests uint64 `json:"requests"`
-	Hedges   uint64 `json:"hedges"`
-	Reroutes uint64 `json:"reroutes"`
+	Admission server.AdmissionBlock `json:"admission"`
+	Requests  uint64                `json:"requests"`
+	Hedges    uint64                `json:"hedges"`
+	Reroutes  uint64                `json:"reroutes"`
 	// Membership counts completed membership changes and the warm-state
 	// records they moved.
 	Membership struct {
@@ -739,14 +695,16 @@ type StatsResponse struct {
 // is then reported with zeroed aggregate contribution.
 const statsFanoutTimeout = time.Second
 
-// aggregateBackendStats fans /v1/stats out to the healthy backends and
-// sums the uniform schema-2 blocks.
-func (c *Coordinator) aggregateBackendStats(ctx context.Context) (memo server.MemoBlock, per server.PersistBlock, part server.PartialBlock, degraded uint64) {
+// aggregateBackendStats fans /v1/stats out to the healthy backends,
+// sums their registry snapshots and builds the schema-2 blocks from the
+// sum, the same way a node builds its own.
+func (c *Coordinator) aggregateBackendStats(ctx context.Context) server.StatsV2 {
 	ctx, cancel := context.WithTimeout(ctx, statsFanoutTimeout)
 	defer cancel()
 	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
+		mu  sync.Mutex
+		wg  sync.WaitGroup
+		sum obs.Snapshot
 	)
 	for _, u := range c.currentRing().Backends() {
 		if !c.health.healthy(u) {
@@ -759,46 +717,17 @@ func (c *Coordinator) aggregateBackendStats(ctx context.Context) (memo server.Me
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v2, err := b.client.StatsV2(ctx)
+			st, err := b.client.Stats(ctx)
 			if err != nil {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			memo.Hits += v2.Memo.Hits
-			memo.Misses += v2.Memo.Misses
-			memo.Evictions += v2.Memo.Evictions
-			memo.Entries += v2.Memo.Entries
-			memo.Capacity += v2.Memo.Capacity
-			if v2.Persist.Enabled {
-				per.Enabled = true
-			}
-			per.Keys += v2.Persist.Keys
-			per.Segments += v2.Persist.Segments
-			per.DiskBytes += v2.Persist.DiskBytes
-			per.DeadBytes += v2.Persist.DeadBytes
-			per.Hits += v2.Persist.Hits
-			per.Misses += v2.Persist.Misses
-			per.BytesAppended += v2.Persist.BytesAppended
-			per.SegmentsCreated += v2.Persist.SegmentsCreated
-			per.Compactions += v2.Persist.Compactions
-			per.CorruptRecords += v2.Persist.CorruptRecords
-			per.TornTruncations += v2.Persist.TornTruncations
-			per.IOErrors += v2.Persist.IOErrors
-			per.EvictedKeys += v2.Persist.EvictedKeys
-			if v2.Persist.SnapshotRestore {
-				per.SnapshotRestore = true
-			}
-			part.CancelledJobs += v2.Partial.CancelledJobs
-			part.RefsCompleted += v2.Partial.RefsCompleted
-			degraded += v2.Admission.Degraded
+			sum.Add(st.Metrics)
 		}()
 	}
 	wg.Wait()
-	if total := memo.Hits + memo.Misses; total > 0 {
-		memo.HitRatio = float64(memo.Hits) / float64(total)
-	}
-	return memo, per, part, degraded
+	return server.StatsBlocks(sum)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -813,13 +742,15 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cluster.VirtualNodes = ring.VirtualNodes()
 	resp.Cluster.WarmKeys = c.health.warmKeysTotal()
 	resp.Cluster.RingVersion = c.RingVersion()
-	resp.Memo, resp.Persist, resp.Partial, resp.Admission.Degraded = c.aggregateBackendStats(r.Context())
+	v2 := c.aggregateBackendStats(r.Context())
+	resp.Memo, resp.Persist, resp.Partial = v2.Memo, v2.Persist, v2.Partial
+	resp.Admission.Degraded = v2.Admission.Degraded
 	if c.slots != nil {
 		resp.Admission.Capacity = cap(c.slots)
-		resp.Admission.Queued = len(c.slots)
+		resp.Admission.Queued = int64(len(c.slots))
+		resp.Admission.Pressure = float64(resp.Admission.Queued) / float64(resp.Admission.Capacity)
 	}
 	resp.Admission.Shed = c.shed.Value()
-	resp.Admission.Pressure = c.pressure()
 	resp.Requests = c.requests.Value()
 	resp.Hedges = c.hedges.Value()
 	resp.Reroutes = c.reroutes.Value()
@@ -846,5 +777,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	server.SetDeprecationHeaders(w.Header().Set)
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

@@ -8,80 +8,52 @@ import (
 	"primecache/internal/server"
 )
 
-// PromFamilies renders the coordinator's own counters plus one sample
-// per backend (labeled backend=<url>) for the routing-layer families.
-// The coordinator has no Metrics registry — its counters are raw fields
-// — so the families are assembled by hand here.
-func (c *Coordinator) PromFamilies() []obs.Family {
-	counter := func(name, help string, v uint64) obs.Family {
-		return obs.Family{Name: name, Help: help, Kind: obs.KindCounter,
-			Samples: []obs.Sample{{Value: float64(v)}}}
-	}
-	fams := []obs.Family{
-		counter("vcached_coordinator_requests_total", "Requests accepted by the coordinator.", c.requests.Value()),
-		counter("vcached_coordinator_shed_total", "Requests shed by the coordinator's admission valve.", c.shed.Value()),
-		counter("vcached_coordinator_hedges_total", "Hedged backend calls launched.", c.hedges.Value()),
-		counter("vcached_coordinator_reroutes_total", "Jobs rerouted to another replica after a failure.", c.reroutes.Value()),
-		counter("vcached_coordinator_joins_total", "Completed backend joins.", c.joins.Value()),
-		counter("vcached_coordinator_leaves_total", "Completed backend leaves.", c.leaves.Value()),
-		counter("vcached_coordinator_migrated_keys_total", "Warm-state records moved by membership changes.", c.migratedKeys.Value()),
-		counter("vcached_coordinator_migrated_bytes_total", "Warm-state value bytes moved by membership changes.", c.migratedBytes.Value()),
-		counter("vcached_coordinator_migration_errors_total", "Failed or skipped migration transfers.", c.migrationErrors.Value()),
-		{
-			Name: "vcached_coordinator_healthy_backends", Help: "Backends currently passing readiness probes.",
-			Kind:    obs.KindGauge,
-			Samples: []obs.Sample{{Value: float64(c.health.healthyCount())}},
-		},
-		{
-			Name: "vcached_coordinator_ring_version", Help: "Atomic ring swaps since the coordinator booted.",
-			Kind:    obs.KindGauge,
-			Samples: []obs.Sample{{Value: float64(c.RingVersion())}},
-		},
-	}
-
-	// Per-backend families: one sample per backend, distinguished by the
-	// backend label. Base URLs contain '://', so these exercise the label
-	// escaping path on every scrape.
-	reqs := obs.Family{Name: "vcached_backend_requests_total",
-		Help: "Calls issued to the backend.", Kind: obs.KindCounter}
-	fails := obs.Family{Name: "vcached_backend_failures_total",
-		Help: "Failed calls to the backend.", Kind: obs.KindCounter}
-	inflight := obs.Family{Name: "vcached_backend_inflight",
-		Help: "Calls in flight to the backend.", Kind: obs.KindGauge}
-	latency := obs.Family{Name: "vcached_backend_latency_seconds",
-		Help: "Observed call latency per backend in seconds.", Kind: obs.KindHistogram}
-	for _, u := range c.currentRing().Backends() {
-		b := c.backendFor(u)
-		if b == nil {
-			continue // removed between the ring read and here
-		}
-		label := []obs.Label{{Name: "backend", Value: u}}
-		reqs.Samples = append(reqs.Samples, obs.Sample{Labels: label, Value: float64(b.requests.Value())})
-		fails.Samples = append(fails.Samples, obs.Sample{Labels: label, Value: float64(b.failures.Value())})
-		inflight.Samples = append(inflight.Samples, obs.Sample{Labels: label, Value: float64(b.inflight.Value())})
-		latency.Samples = append(latency.Samples, obs.Sample{Labels: label, Hist: b.latency.Snapshot().PromHist()})
-	}
-	return append(fams, reqs, fails, inflight, latency)
+// registerMetrics puts the coordinator's counters and gauges into its
+// registry, with the HELP text /metrics shows, and describes the
+// per-backend families that track registers for each member.
+func (c *Coordinator) registerMetrics() {
+	m := c.metrics
+	m.CounterFunc("coordinator.requests", "Requests accepted by the coordinator.", c.requests.Value)
+	m.CounterFunc("coordinator.shed", "Requests shed by the coordinator's admission valve.", c.shed.Value)
+	m.CounterFunc("coordinator.hedges", "Hedged backend calls launched.", c.hedges.Value)
+	m.CounterFunc("coordinator.reroutes", "Jobs rerouted to another replica after a failure.", c.reroutes.Value)
+	m.CounterFunc("coordinator.joins", "Completed backend joins.", c.joins.Value)
+	m.CounterFunc("coordinator.leaves", "Completed backend leaves.", c.leaves.Value)
+	m.CounterFunc("coordinator.migrated_keys", "Warm-state records moved by membership changes.", c.migratedKeys.Value)
+	m.CounterFunc("coordinator.migrated_bytes", "Warm-state value bytes moved by membership changes.", c.migratedBytes.Value)
+	m.CounterFunc("coordinator.migration_errors", "Failed or skipped migration transfers.", c.migrationErrors.Value)
+	m.GaugeFunc("coordinator.healthy_backends", "Backends currently passing readiness probes.",
+		func() int64 { return int64(c.health.healthyCount()) })
+	m.GaugeFunc("coordinator.ring_version", "Atomic ring swaps since the coordinator booted.",
+		func() int64 { return int64(c.RingVersion()) })
+	m.Describe("backend.requests", "Calls issued to the backend.")
+	m.Describe("backend.failures", "Failed calls to the backend.")
+	m.Describe("backend.inflight", "Calls in flight to the backend.")
+	m.Describe("backend.latency", "Observed call latency per backend in seconds.")
 }
 
-// handleMetrics serves the coordinator's families in the Prometheus
+// backendLabel distinguishes one backend's rows. Base URLs contain
+// '://', so the rows exercise the label-escaping path on every scrape.
+func backendLabel(url string) obs.Label { return obs.Label{Name: "backend", Value: url} }
+
+// track registers b's rows in the registry and returns b.
+func (c *Coordinator) track(b *backendState) *backendState {
+	l := backendLabel(b.url)
+	b.requests = c.metrics.Counter("backend.requests", l)
+	b.failures = c.metrics.Counter("backend.failures", l)
+	b.inflight = c.metrics.Gauge("backend.inflight", l)
+	b.latency = c.metrics.Histogram("backend.latency", l)
+	return b
+}
+
+// handleMetrics serves the coordinator's registry in the Prometheus
 // text exposition format.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
-	if err := obs.WriteProm(&buf, c.PromFamilies()); err != nil {
+	if err := obs.WriteProm(&buf, c.metrics.Families("vcached_")); err != nil {
 		writeErr(w, server.Errf(server.CodeInternal, "rendering metrics: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
 	w.Write(buf.Bytes())
-}
-
-// handleTraces serves the finished-trace ring; a structured not_found
-// envelope when the coordinator was built without a tracer.
-func (c *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if c.tracer == nil {
-		writeErr(w, server.Errf(server.CodeNotFound, "tracing is not enabled on this coordinator"))
-		return
-	}
-	c.tracer.TracesHandler().ServeHTTP(w, r)
 }

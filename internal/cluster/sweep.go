@@ -27,7 +27,7 @@ type routedJob struct {
 // cluster from one big backend by looking at the bytes.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req server.SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := server.DecodeJSON(r.Body, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -28,9 +28,14 @@ func writeHandlerError(w http.ResponseWriter, status int, code, message string) 
 // TracesHandler serves the finished-trace ring as JSON. Without a
 // query it returns every retained trace, oldest first; ?id=<hex trace
 // id> returns just that trace (404 when it has been evicted), and
-// ?last=N returns the N most recent.
-func (t *Tracer) TracesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// ?last=N returns the N most recent. On a nil Tracer every request
+// answers 404 not_found.
+func (t *Tracer) TracesHandler() http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if t == nil {
+			writeHandlerError(w, http.StatusNotFound, "not_found", "tracing is not enabled")
+			return
+		}
 		resp := tracesResponse{Origin: t.origin}
 		if idStr := r.URL.Query().Get("id"); idStr != "" {
 			id, err := strconv.ParseUint(idStr, 16, 64)
@@ -61,5 +66,5 @@ func (t *Tracer) TracesHandler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(resp)
-	})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"primecache/internal/obs"
 	"primecache/internal/sim"
 )
 
@@ -20,14 +21,14 @@ type admission struct {
 	slots    chan struct{}
 	endpoint map[string]chan struct{}
 
-	queued *Gauge
-	shed   *Counter
+	queued *obs.Gauge
+	shed   *obs.Counter
 }
 
 // newAdmission builds the valve: capacity slots globally, perEndpoint
 // slots for each named endpoint (perEndpoint >= capacity disables the
 // per-endpoint level in practice).
-func newAdmission(capacity, perEndpoint int, endpoints []string, m *Metrics) *admission {
+func newAdmission(capacity, perEndpoint int, endpoints []string, m *obs.Registry) *admission {
 	a := &admission{
 		slots:    make(chan struct{}, capacity),
 		endpoint: make(map[string]chan struct{}, len(endpoints)),

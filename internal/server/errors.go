@@ -121,13 +121,13 @@ func asAPIError(err error) *APIError {
 	}
 }
 
-// writeError renders err as the unified envelope, setting Retry-After
+// WriteError renders err as the unified envelope, setting Retry-After
 // when the error carries a hint.
-func writeError(w http.ResponseWriter, err error) {
+func WriteError(w http.ResponseWriter, err error) {
 	ae := asAPIError(err)
 	if ae.RetryAfterMs > 0 {
 		secs := (ae.RetryAfterMs + 999) / 1000
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, ae.Code.HTTPStatus(), ErrorEnvelope{Error: ae})
+	WriteJSON(w, ae.Code.HTTPStatus(), ErrorEnvelope{Error: ae})
 }

@@ -48,19 +48,19 @@ func ETagMatch(headerValue, etag string) bool {
 // marshalled once: those bytes give the ETag, and 304 (no body) goes to
 // a client whose If-None-Match matches. Otherwise the body is the same
 // bytes with the memoized flag spliced in as the last field, indented
-// the way writeJSON's encoder would. The memoized verdict rides the
+// the way WriteJSON's encoder would. The memoized verdict rides the
 // X-Vcached-Memoized header on 304s so clients keep an accurate flag
 // without a body.
 func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key string, payload any, memoized bool) {
 	compact, err := json.Marshal(payload)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	etag := resultETag(key, compact)
 	w.Header().Set("ETag", etag)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
-		s.metrics.Counter("etag.notModified").Inc()
+		s.ctr.notModified.Inc()
 		w.Header().Set(MemoizedHeader, strconv.FormatBool(memoized))
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -75,7 +75,7 @@ func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key st
 	var body bytes.Buffer
 	body.Grow(2 * len(flagged))
 	if err := json.Indent(&body, flagged, "", "  "); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

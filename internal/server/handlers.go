@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -12,11 +14,17 @@ import (
 	"primecache/internal/obs"
 )
 
-// decodeJSON strictly decodes the request body into dst, rejecting
-// unknown fields and trailing garbage.
+// decodeJSON decodes the request body, bounded by the body-size limit,
+// into dst.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.Limits.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return DecodeJSON(http.MaxBytesReader(w, r.Body, s.opts.Limits.MaxBodyBytes), dst)
+}
+
+// DecodeJSON strictly decodes body into dst, rejecting unknown fields
+// and trailing garbage; the coordinator decodes its requests with it
+// too, so both tiers reject a body the same way.
+func DecodeJSON(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
@@ -31,8 +39,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) err
 	return nil
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -166,7 +174,7 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 		case job.Simulate != nil:
 			resp, err := runSimulate(ctx, *job.Simulate, evalOpts{degrade: degrade, shelf: &s.shelf})
 			if err == nil && resp.Degraded {
-				s.metrics.Counter("admission.degraded").Inc()
+				s.ctr.degraded.Inc()
 			}
 			return resp, err
 		case job.Model != nil:
@@ -177,61 +185,45 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 	})
 	var pe *PartialError
 	if errors.As(err, &pe) {
-		s.metrics.Counter("compute.cancelledJobs").Inc()
-		s.metrics.Counter("compute.partialRefs").Add(pe.Refs)
+		s.ctr.cancelledJobs.Inc()
+		s.ctr.partialRefs.Add(pe.Refs)
 	}
 	return v, err
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := req.Validate(s.opts.Limits); err != nil {
-		writeError(w, err)
-		return
-	}
-	release, err := s.admitRequest(r.Context(), "simulate")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	key := req.Key()
-	v, memoized, err := s.computeJob(ctx, SweepJob{Simulate: &req}, key, s.degradeNow())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.writeConditional(w, r, key, v, memoized)
+	s.serveJob(w, r, "simulate", &req, SweepJob{Simulate: &req})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	var req ModelRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	s.serveJob(w, r, "model", &req, SweepJob{Model: &req})
+}
+
+// serveJob answers one simulate or model request: the body decodes into
+// req, which job wraps. Only a simulate job may be degraded.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req any, job SweepJob) {
+	if err := s.decodeJSON(w, r, req); err != nil {
+		WriteError(w, err)
 		return
 	}
-	if err := req.Validate(s.opts.Limits); err != nil {
-		writeError(w, err)
+	if err := job.Validate(s.opts.Limits); err != nil {
+		WriteError(w, err)
 		return
 	}
-	release, err := s.admitRequest(r.Context(), "model")
+	release, err := s.admitRequest(r.Context(), endpoint)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	defer release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	key := req.Key()
-	v, memoized, err := s.computeJob(ctx, SweepJob{Model: &req}, key, false)
+	key := job.Key()
+	v, memoized, err := s.computeJob(ctx, job, key, job.Simulate != nil && s.degradeNow())
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	s.writeConditional(w, r, key, v, memoized)
@@ -242,18 +234,18 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := req.Validate(s.opts.Limits); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// One admission slot covers the whole batch: the worker pool already
 	// bounds its parallelism, so the queue tracks requests, not jobs.
 	release, err := s.admitRequest(r.Context(), "sweep")
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	defer release()
@@ -295,7 +287,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ReadyzResponse is the /v1/readyz body: readiness, as opposed to the
@@ -313,10 +305,10 @@ type ReadyzResponse struct {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, ReadyzResponse{Status: "draining", Draining: true, WarmKeys: s.WarmKeys()})
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyzResponse{Status: "draining", Draining: true, WarmKeys: s.WarmKeys()})
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyzResponse{Status: "ok", WarmKeys: s.WarmKeys()})
+	WriteJSON(w, http.StatusOK, ReadyzResponse{Status: "ok", WarmKeys: s.WarmKeys()})
 }
 
 // StatsResponse is the /v1/stats body, schema 2: the memo, persist,
@@ -341,26 +333,31 @@ type StatsResponse struct {
 	// Partial accounts work burned by jobs that were cancelled or timed
 	// out mid-simulation: how many jobs stopped early and how many
 	// references they had completed when they stopped.
-	Partial PartialBlock    `json:"partial"`
-	Metrics MetricsSnapshot `json:"metrics"`
+	Partial PartialBlock `json:"partial"`
+	Metrics obs.Snapshot `json:"metrics"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var resp StatsResponse
-	resp.Schema = StatsSchemaVersion
-	resp.Memo = memoBlock(s.memo.Stats())
-	resp.Persist = persistBlock(s.persist)
+	snap := s.metrics.Snapshot()
+	v2 := StatsBlocks(snap)
+	v2.Admission.Pressure = s.admit.pressure()
+	resp := StatsResponse{Schema: v2.Schema, Memo: v2.Memo, Persist: v2.Persist,
+		Admission: v2.Admission, Partial: v2.Partial, Metrics: snap}
 	resp.Pool.Workers = s.pool.Size()
-	resp.Pool.Busy = s.metrics.Gauge("pool.busy").Value()
-	resp.Pool.Queued = s.metrics.Gauge("pool.queued").Value()
-	resp.Admission.Capacity = s.admit.capacity()
-	resp.Admission.Queued = s.metrics.Gauge("admission.queued").Value()
-	resp.Admission.Shed = s.metrics.Counter("admission.shed").Value()
-	resp.Admission.Degraded = s.metrics.Counter("admission.degraded").Value()
-	resp.Admission.Pressure = s.admit.pressure()
-	resp.Partial.CancelledJobs = s.metrics.Counter("compute.cancelledJobs").Value()
-	resp.Partial.RefsCompleted = s.metrics.Counter("compute.partialRefs").Value()
-	resp.Metrics = s.metrics.Snapshot()
+	resp.Pool.Busy = snap.Gauges["pool.busy"]
+	resp.Pool.Queued = snap.Gauges["pool.queued"]
 	SetDeprecationHeaders(w.Header().Set)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleMetrics serves the registry in the Prometheus text exposition
+// format.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var buf bytes.Buffer
+	if err := obs.WriteProm(&buf, s.metrics.Families("vcached_")); err != nil {
+		WriteError(w, Errf(CodeInternal, "rendering metrics: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", obs.PromContentType)
+	w.Write(buf.Bytes())
 }

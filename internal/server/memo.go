@@ -3,6 +3,8 @@ package server
 import (
 	"container/list"
 	"sync"
+
+	"primecache/internal/obs"
 )
 
 // Memo is a bounded LRU memoization cache from canonical request keys to
@@ -20,9 +22,9 @@ type Memo struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 
-	hits      Counter
-	misses    Counter
-	evictions Counter
+	hits      obs.Counter
+	misses    obs.Counter
+	evictions obs.Counter
 }
 
 type memoEntry struct {
@@ -97,33 +99,4 @@ func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.order.Len()
-}
-
-// MemoStats reports the memo's counters.
-type MemoStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Memo) Stats() MemoStats {
-	return MemoStats{
-		Hits:      m.hits.Value(),
-		Misses:    m.misses.Value(),
-		Evictions: m.evictions.Value(),
-		Entries:   m.Len(),
-		Capacity:  m.cap,
-	}
-}
-
-// HitRatio returns hits/(hits+misses), 0 before any lookup.
-func (s MemoStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

@@ -41,7 +41,7 @@ func (s *Server) handlePersistExport(w http.ResponseWriter, r *http.Request) {
 	owner := r.URL.Query().Get("owner")
 	ranges, err := keyspace.ParseRanges(owner)
 	if err != nil {
-		writeError(w, Errf(CodeInvalidRequest, "owner parameter: %v", err))
+		WriteError(w, Errf(CodeInvalidRequest, "owner parameter: %v", err))
 		return
 	}
 	_, span := obs.Start(r.Context(), "persist.export", obs.String("owner", owner))
@@ -58,11 +58,11 @@ func (s *Server) handlePersistExport(w http.ResponseWriter, r *http.Request) {
 	// frame reader detects exactly like a torn log tail.
 	span.SetAttr("keys", strconv.FormatInt(keys, 10))
 	if werr != nil {
-		s.metrics.Counter("persist.exportErrors").Inc()
+		s.ctr.exportErrors.Inc()
 		return
 	}
-	s.metrics.Counter("persist.exportedKeys").Add(uint64(keys))
-	s.metrics.Counter("persist.exportedBytes").Add(uint64(bytes))
+	s.ctr.exportedKeys.Add(uint64(keys))
+	s.ctr.exportedBytes.Add(uint64(bytes))
 }
 
 // handlePersistImport reads a frame stream and writes each record
@@ -81,20 +81,20 @@ func (s *Server) handlePersistImport(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			s.metrics.Counter("persist.importErrors").Inc()
-			writeError(w, Errf(CodeInvalidRequest, "import stream after %d records: %v", resp.Imported, err))
+			s.ctr.importErrors.Inc()
+			WriteError(w, Errf(CodeInvalidRequest, "import stream after %d records: %v", resp.Imported, err))
 			return
 		}
 		if err := s.persist.Put(r.Context(), key, value); err != nil {
-			s.metrics.Counter("persist.importErrors").Inc()
-			writeError(w, Errf(CodeInternal, "storing imported record: %v", err))
+			s.ctr.importErrors.Inc()
+			WriteError(w, Errf(CodeInternal, "storing imported record: %v", err))
 			return
 		}
 		resp.Imported++
 		resp.Bytes += int64(len(value))
 	}
 	span.SetAttr("keys", strconv.FormatInt(resp.Imported, 10))
-	s.metrics.Counter("persist.importedKeys").Add(uint64(resp.Imported))
-	s.metrics.Counter("persist.importedBytes").Add(uint64(resp.Bytes))
-	writeJSON(w, http.StatusOK, resp)
+	s.ctr.importedKeys.Add(uint64(resp.Imported))
+	s.ctr.importedBytes.Add(uint64(resp.Bytes))
+	WriteJSON(w, http.StatusOK, resp)
 }

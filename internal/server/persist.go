@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"primecache/internal/obs"
-	"primecache/internal/persist"
 )
 
 // The persist tier stores opaque bytes; the server owns the mapping
@@ -77,7 +76,7 @@ func (s *Server) persistLookup(ctx context.Context, key string) (any, bool) {
 	v, ok := persistDecode(b)
 	if !ok {
 		span.SetAttr("hit", "false")
-		s.metrics.Counter("persist.decodeErrors").Inc()
+		s.ctr.decodeErrors.Inc()
 		return nil, false
 	}
 	span.SetAttr("hit", "true")
@@ -97,31 +96,6 @@ func (s *Server) persistStore(ctx context.Context, key string, v any) {
 	span.SetAttr("bytes", strconv.Itoa(len(b)))
 	defer span.End()
 	if err := s.persist.Put(ctx, key, b); err != nil {
-		s.metrics.Counter("persist.storeErrors").Inc()
-	}
-}
-
-// persistFamilies renders the disk tier's counters as the
-// vcached_persist_* Prometheus families. Only called when the tier is
-// enabled, so a memory-only server's exposition is unchanged.
-func persistFamilies(st persist.Stats) []obs.Family {
-	counter := func(name, help string, v uint64) obs.Family {
-		return obs.Family{Name: name, Help: help, Kind: obs.KindCounter,
-			Samples: []obs.Sample{{Value: float64(v)}}}
-	}
-	gauge := func(name, help string, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Kind: obs.KindGauge,
-			Samples: []obs.Sample{{Value: v}}}
-	}
-	return []obs.Family{
-		counter("vcached_persist_hits_total", "Persist-tier lookup hits.", st.Hits),
-		counter("vcached_persist_misses_total", "Persist-tier lookup misses.", st.Misses),
-		counter("vcached_persist_bytes_total", "Bytes appended to the persist log.", st.BytesAppended),
-		counter("vcached_persist_segments_total", "Persist log segments created.", st.SegmentsCreated),
-		counter("vcached_persist_compactions_total", "Persist log compaction passes.", st.Compactions),
-		counter("vcached_persist_corrupt_records_total", "Records dropped for failing checksum or decode verification.", st.CorruptRecords),
-		counter("vcached_persist_torn_truncations_total", "Torn log tails truncated during recovery.", st.TornTruncations),
-		gauge("vcached_persist_keys", "Live keys in the persist index.", float64(st.Keys)),
-		gauge("vcached_persist_disk_bytes", "Bytes currently on disk across live segments.", float64(st.DiskBytes)),
+		s.ctr.storeErrors.Inc()
 	}
 }

@@ -25,10 +25,10 @@ type Pool struct {
 
 	size      int
 	clock     sim.Clock
-	busy      *Gauge
-	queued    *Gauge
-	completed *Counter
-	latency   *Histogram
+	busy      *obs.Gauge
+	queued    *obs.Gauge
+	completed *obs.Counter
+	latency   *obs.Histogram
 }
 
 type poolTask struct {
@@ -47,18 +47,15 @@ type poolResult struct {
 
 // NewPool starts size workers (size <= 0 selects GOMAXPROCS) and
 // registers occupancy metrics on m (which may be nil). Latencies are
-// measured on the real clock; NewPoolOn injects a different one.
-func NewPool(size int, m *Metrics) *Pool { return NewPoolOn(size, m, sim.Real) }
-
-// NewPoolOn is NewPool with the latency clock injected, so simulation
-// tests control what the pool histogram (and everything priced from it,
-// like Retry-After hints) observes.
-func NewPoolOn(size int, m *Metrics, clk sim.Clock) *Pool {
+// measured on clk (nil selects the real clock), so simulation tests
+// control what the pool histogram, and everything priced from it like
+// Retry-After hints, observes.
+func NewPool(size int, m *obs.Registry, clk sim.Clock) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
 	if m == nil {
-		m = NewMetrics()
+		m = obs.NewRegistry(nil)
 	}
 	p := &Pool{
 		// A small queue smooths bursts; Submit still blocks (or times

@@ -94,7 +94,7 @@ type Server struct {
 	opts    Options
 	clock   sim.Clock
 	tracer  *obs.Tracer
-	metrics *Metrics
+	metrics *obs.Registry
 	memo    *Memo
 	persist *persist.Store
 	pool    *Pool
@@ -106,6 +106,9 @@ type Server struct {
 	// sees a deterministic 1-based ordinal regardless of concurrency.
 	admitSeq   atomic.Uint64
 	computeSeq atomic.Uint64
+
+	// Counters the request paths bump, resolved once at New.
+	ctr serverCounters
 
 	// Single-flight bookkeeping: concurrent identical jobs (the common
 	// case inside one sweep) share one in-flight computation instead of
@@ -130,7 +133,7 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	clk := sim.Or(opts.Clock)
-	m := NewMetricsOn(clk)
+	m := obs.NewRegistry(clk)
 	s := &Server{
 		opts:    opts,
 		clock:   clk,
@@ -138,7 +141,7 @@ func New(opts Options) *Server {
 		metrics: m,
 		memo:    NewMemo(opts.MemoEntries),
 		persist: opts.Persist,
-		pool:    NewPoolOn(opts.Workers, m, clk),
+		pool:    NewPool(opts.Workers, m, clk),
 		mux:     http.NewServeMux(),
 		calls:   map[string]*inflightCall{},
 	}
@@ -148,6 +151,7 @@ func New(opts Options) *Server {
 		perEndpoint = capacity
 	}
 	s.admit = newAdmission(capacity, perEndpoint, []string{"simulate", "model", "sweep"}, m)
+	s.registerMetrics()
 	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
 	s.mux.Handle("POST /v1/model", s.instrument("model", s.handleModel))
 	s.mux.Handle("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
@@ -163,7 +167,7 @@ func New(opts Options) *Server {
 	// not themselves traced (a scraper polling every few seconds would
 	// churn the ring with single-span traces).
 	s.mux.Handle("GET /metrics", s.instrumentLive("metrics", s.handleMetrics))
-	s.mux.Handle("GET /v1/debug/traces", s.instrumentLive("traces", s.handleTraces))
+	s.mux.Handle("GET /v1/debug/traces", s.instrumentLive("traces", s.tracer.TracesHandler()))
 	// Warm-state migration only exists where there is durable state to
 	// move: memory-only servers answer 404 on these paths, and their
 	// metric families never mention the migration counters.
@@ -179,7 +183,7 @@ func New(opts Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics returns the registry (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Tracer returns the server's tracer, nil when tracing is disabled.
 // Cluster tests use it to read a backend's finished-trace ring directly
@@ -365,7 +369,7 @@ func (s *Server) wrap(name string, h http.HandlerFunc, live bool) http.Handler {
 			if s.closing {
 				s.drainMu.RUnlock()
 				errors.Inc()
-				writeError(w, ErrPoolClosed)
+				WriteError(w, ErrPoolClosed)
 				return
 			}
 			s.inflight.Add(1)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"primecache/internal/cache"
+	"primecache/internal/obs"
 	"primecache/internal/trace"
 )
 
@@ -408,7 +409,7 @@ func TestSweepMemoSharing(t *testing.T) {
 	if memoized == 0 {
 		t.Error("no job in a repeated-config sweep was served from memo")
 	}
-	if s.memo.Stats().Hits == 0 {
+	if StatsBlocks(s.metrics.Snapshot()).Memo.Hits == 0 {
 		t.Error("memo counters saw no hits")
 	}
 }
@@ -528,8 +529,8 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 func TestPoolBounds(t *testing.T) {
-	m := NewMetrics()
-	p := NewPool(3, m)
+	m := obs.NewRegistry(nil)
+	p := NewPool(3, m, nil)
 	defer p.Close()
 	var wg sync.WaitGroup
 	var maxBusy int64
@@ -680,8 +681,8 @@ func TestValidateBoundsCacheSize(t *testing.T) {
 // pool.queued gauge: a task that slips into the queue after the workers
 // drain is abandoned with ErrPoolClosed and must still be un-counted.
 func TestPoolQueuedGaugeOnClose(t *testing.T) {
-	m := NewMetrics()
-	p := NewPool(1, m)
+	m := obs.NewRegistry(nil)
+	p := NewPool(1, m, nil)
 	p.Close()
 	for i := 0; i < 100; i++ {
 		if _, err := p.Submit(context.Background(), func(context.Context) (any, error) {
@@ -709,9 +710,8 @@ func TestMemoLRUEviction(t *testing.T) {
 	if _, ok := m.Get("a"); !ok {
 		t.Error("a evicted out of LRU order")
 	}
-	st := m.Stats()
-	if st.Evictions != 1 || st.Entries != 2 || st.Capacity != 2 {
-		t.Errorf("stats = %+v", st)
+	if ev, n := m.evictions.Value(), m.Len(); ev != 1 || n != 2 {
+		t.Errorf("evictions = %d, entries = %d, want 1 and 2", ev, n)
 	}
 	// Disabled memo never stores.
 	d := NewMemo(0)
@@ -722,7 +722,7 @@ func TestMemoLRUEviction(t *testing.T) {
 }
 
 func TestMetricsHistogram(t *testing.T) {
-	var h Histogram
+	var h obs.Histogram
 	h.Observe(50 * time.Microsecond)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(20 * time.Second) // overflow bucket

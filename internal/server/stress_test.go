@@ -189,7 +189,7 @@ func TestConcurrentSimulateAndSweepConsistency(t *testing.T) {
 	// strongest possible claim, but a joiner that loses the memo re-read
 	// race still counts a miss on its next Get, so assert the weaker,
 	// always-true direction plus an upper bound via direct memo stats.
-	ms := s.memo.Stats()
+	ms := StatsBlocks(s.metrics.Snapshot()).Memo
 	if ms.Misses < uint64(len(reqs)) {
 		t.Errorf("memo misses = %d, want >= %d (one per distinct key)", ms.Misses, len(reqs))
 	}
