@@ -19,7 +19,7 @@ FUZZTIME ?= 10s
 # Seeded fault schedules per `make chaos` run (see internal/sim/chaos).
 CHAOS_SCHEDULES ?= 50
 
-.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench-go fmt-check oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update ci
+.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench-go fmt-check oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update loc ci
 
 build:
 	$(GO) build ./...
@@ -139,5 +139,17 @@ golden-update:
 	$(GO) test ./internal/report/ ./cmd/figures/ -update
 	$(GO) test ./internal/server/ -run Golden -update
 	$(GO) test ./internal/cluster/ -run Golden -update
+
+# Go line counts of the root module (perfbench/ is a module of its
+# own): non-test and test lines per package directory, then the totals.
+# Every change reports its net line count from this target, run before
+# and after.
+loc:
+	@find . -name '*.go' -not -path './perfbench/*' -not -path './.*' -print0 | xargs -0 wc -l | \
+	awk '$$2 == "total" { next } \
+	{ d = $$2; sub(/\/[^\/]*$$/, "", d); t = ($$2 ~ /_test\.go$$/); n[d, t] += $$1; dirs[d] = 1; sum[t] += $$1 } \
+	END { printf "%-28s %9s %9s\n", "package", "non-test", "test"; \
+	for (d in dirs) printf "%-28s %9d %9d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+	printf "%-28s %9d %9d\n", "total", sum[0], sum[1] }'
 
 ci: fmt-check vet build test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-go

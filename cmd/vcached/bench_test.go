@@ -86,7 +86,7 @@ func benchSweep(b *testing.B, hit bool) {
 }
 
 // BenchmarkSweepMemoMiss measures sweep throughput when every job is a
-// fresh configuration (full simulation on a pool worker).
+// fresh configuration (full simulation in a compute slot).
 func BenchmarkSweepMemoMiss(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepMemoHit measures sweep throughput when every job is

@@ -1,6 +1,6 @@
 // Command vcached is the long-running simulation service: it serves
 // cache simulations and VCM analytic-model evaluations over HTTP/JSON,
-// with a worker pool bounding concurrent compute, an LRU memoizer
+// with a compute-slot limit bounding concurrent jobs, an LRU memoizer
 // deduplicating repeated configurations, an admission valve shedding
 // load beyond a bounded backlog, and a metrics endpoint.
 //
@@ -61,7 +61,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8372", "listen address (port 0 picks a free port, logged at startup)")
-		workers = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "compute slots: how many jobs run at once (0 = GOMAXPROCS)")
 		memo    = flag.Int("memo", 4096, "memoization cache entries (negative disables)")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request compute timeout (0 disables)")
 		drain   = flag.Duration("drain", time.Minute, "graceful-shutdown drain limit")
@@ -70,8 +70,7 @@ func main() {
 		maxRefs   = flag.Int("max-refs", 0, "max references one simulate job may issue (0 = default 64Mi)")
 		maxJobs   = flag.Int("max-sweep-jobs", 0, "max jobs in one sweep batch (0 = default 4096)")
 		maxBody   = flag.Int64("max-body", 0, "max request body bytes (0 = default 8MiB)")
-		queue     = flag.Int("queue", 0, "admission backlog beyond the worker count; excess requests get 429 (0 = default 256, negative = none)")
-		epLimit   = flag.Int("endpoint-limit", 0, "max concurrently admitted requests per endpoint (0 = global queue only)")
+		queue     = flag.Int("queue", 0, "admission backlog beyond the compute slots; excess requests get 429 (0 = default 256, negative = none)")
 		degradeAt = flag.Float64("degrade-threshold", 0, "admission-pressure fraction at which qualifying jobs degrade to analytic answers (0 = default 0.75, negative disables)")
 
 		persistDir      = flag.String("persist-dir", "", "directory for the disk-backed memo tier; restarts start warm from it (empty disables persistence)")
@@ -124,11 +123,10 @@ func main() {
 			MaxSweepJobs:  *maxJobs,
 			MaxBodyBytes:  *maxBody,
 		},
-		QueueDepth:          *queue,
-		EndpointConcurrency: *epLimit,
-		DegradeThreshold:    *degradeAt,
-		Persist:             store,
-		Tracer:              newTracer("vcached", *traceRing, *traceEvery),
+		QueueDepth:       *queue,
+		DegradeThreshold: *degradeAt,
+		Persist:          store,
+		Tracer:           newTracer("vcached", *traceRing, *traceEvery),
 	})
 
 	// Listen before forking the serve goroutine so -addr :0 logs the port

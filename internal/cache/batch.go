@@ -20,8 +20,6 @@ package cache
 // The differential-oracle campaign checks the one implementation
 // against slow, obviously correct reference models.
 
-import "context"
-
 // BatchSim is implemented by organisations with a devirtualized batch
 // fast path. AccessBatch processes accs in order, exactly as len(accs)
 // sequential Access calls would; when out is non-nil it must have at
@@ -37,36 +35,6 @@ var (
 	_ BatchSim = (*VictimCache)(nil)
 	_ BatchSim = (*PrefetchCache)(nil)
 )
-
-// AccessBatchContext streams accs through s in chunks of chunkSize,
-// checking ctx.Err() between chunks so a multi-million-reference batch
-// can be abandoned mid-flight without a per-access branch. It returns
-// how many references completed; when it stops early the error is
-// ctx's. chunkSize <= 0 selects one ctx check for the whole slice.
-// The access sequence it applies is byte-identical to AccessBatch's
-// regardless of chunking (see TestAccessBatchEquivalence).
-func AccessBatchContext(ctx context.Context, s Sim, accs []Access, out []Result, chunkSize int) (int, error) {
-	if chunkSize <= 0 {
-		chunkSize = len(accs)
-	}
-	done := 0
-	for done < len(accs) {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		hi := done + chunkSize
-		if hi > len(accs) {
-			hi = len(accs)
-		}
-		var chunkOut []Result
-		if out != nil {
-			chunkOut = out[done:hi]
-		}
-		AccessBatch(s, accs[done:hi], chunkOut)
-		done = hi
-	}
-	return done, nil
-}
 
 // AccessBatch streams accs through any Sim: organisations implementing
 // BatchSim take their devirtualized fast path, everything else (e.g.

@@ -89,7 +89,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, server.Errf(server.CodeInvalidRequest, "backend %q is already a member", req.URL))
 		return
 	}
-	newRing, err := NewRing(append(oldRing.Backends(), req.URL), c.opts.VirtualNodes)
+	newRing, err := NewRing(append(oldRing.Backends(), req.URL))
 	if err != nil {
 		writeErr(w, server.Errf(server.CodeInvalidRequest, "building ring: %v", err))
 		return
@@ -169,7 +169,7 @@ func (c *Coordinator) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, server.Errf(server.CodeInvalidRequest, "cannot remove the last backend"))
 		return
 	}
-	newRing, err := NewRing(remaining, c.opts.VirtualNodes)
+	newRing, err := NewRing(remaining)
 	if err != nil {
 		writeErr(w, server.Errf(server.CodeInternal, "building ring: %v", err))
 		return

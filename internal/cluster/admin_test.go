@@ -82,7 +82,7 @@ func TestAdminAuth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("authorized list: %v", err)
 	}
-	if len(view.Backends) != 2 || view.VirtualNodes != DefaultVirtualNodes || view.RingVersion != 0 {
+	if len(view.Backends) != 2 || view.VirtualNodes != RingVirtualNodes || view.RingVersion != 0 {
 		t.Fatalf("unexpected membership view: %+v", view)
 	}
 	for _, b := range view.Backends {

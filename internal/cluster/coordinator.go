@@ -20,9 +20,6 @@ import (
 type Options struct {
 	// Backends are the vcached base URLs behind the coordinator.
 	Backends []string
-	// VirtualNodes is the per-backend ring point count; <= 0 selects
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// Replicas is how many distinct backends a job may be tried on
 	// (primary plus failovers); <= 0 selects 2, values beyond the
 	// backend count are clamped.
@@ -34,13 +31,10 @@ type Options struct {
 	ProbeTimeout time.Duration
 	// HedgeAfter is the floor on the hedge delay for single-job calls:
 	// when the primary has not answered after max(HedgeAfter, its
-	// observed HedgeQuantile latency), the request is also fired at the
+	// observed p95 latency), the request is also fired at the
 	// next replica and the first success wins. 0 selects 50ms, < 0
 	// disables hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the per-backend latency quantile priced into the
-	// hedge delay; 0 selects 0.95.
-	HedgeQuantile float64
 	// MaxInflight caps concurrently admitted requests at the
 	// coordinator — its own admission valve, in front of the backends'.
 	// 0 selects 256; < 0 disables the valve.
@@ -88,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 50 * time.Millisecond
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.95
 	}
 	if o.MaxInflight == 0 {
 		o.MaxInflight = 256
@@ -163,7 +154,7 @@ type Coordinator struct {
 // routes around a dead backend. Stop with Close.
 func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
-	ring, err := NewRing(opts.Backends, opts.VirtualNodes)
+	ring, err := NewRing(opts.Backends)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +388,11 @@ func (c *Coordinator) noteFailure(b *backendState, err error) {
 	c.health.reportFailure(b.url)
 }
 
-// hedgeDelay prices the hedge trigger for b: its observed HedgeQuantile
+// hedgeQuantile is the per-backend latency quantile priced into the
+// hedge delay and reported as BackendStats.P95Us.
+const hedgeQuantile = 0.95
+
+// hedgeDelay prices the hedge trigger for b: its observed hedgeQuantile
 // latency once enough samples exist, floored by HedgeAfter and capped
 // at 2s. Zero means hedging is off.
 func (c *Coordinator) hedgeDelay(b *backendState) time.Duration {
@@ -407,7 +402,7 @@ func (c *Coordinator) hedgeDelay(b *backendState) time.Duration {
 	d := c.opts.HedgeAfter
 	snap := b.latency.Snapshot()
 	if snap.Count >= 16 {
-		if q := time.Duration(snap.QuantileUs(c.opts.HedgeQuantile)) * time.Microsecond; q > d {
+		if q := time.Duration(snap.QuantileUs(hedgeQuantile)) * time.Microsecond; q > d {
 			d = q
 		}
 	}
@@ -772,7 +767,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Requests:      b.requests.Value(),
 			Failures:      b.failures.Value(),
 			Inflight:      b.inflight.Value(),
-			P95Us:         snap.QuantileUs(0.95),
+			P95Us:         snap.QuantileUs(hedgeQuantile),
 			Latency:       snap,
 		})
 	}

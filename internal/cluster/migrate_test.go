@@ -28,13 +28,13 @@ func TestRingMembershipMinimalDisruption(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		n := 2 + rng.Intn(7)
 		backends := trialBackends(trial, n)
-		old, err := NewRing(backends, 0)
+		old, err := NewRing(backends)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if trial%2 == 0 {
 			joiner := fmt.Sprintf("http://node-%d-join:8372", trial)
-			grown, err := NewRing(append(append([]string(nil), backends...), joiner), 0)
+			grown, err := NewRing(append(append([]string(nil), backends...), joiner))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestRingMembershipMinimalDisruption(t *testing.T) {
 					rest = append(rest, b)
 				}
 			}
-			shrunk, err := NewRing(rest, 0)
+			shrunk, err := NewRing(rest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestMovedRangesMatchPrimaries(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(6)
 		backends := trialBackends(trial, n)
-		old, err := NewRing(backends, 0)
+		old, err := NewRing(backends)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestMovedRangesMatchPrimaries(t *testing.T) {
 		} else {
 			newMembers = backends[1:]
 		}
-		next, err := NewRing(newMembers, 0)
+		next, err := NewRing(newMembers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,14 +26,13 @@ import (
 const RingModulus = keyspace.Modulus
 
 // Ring is an immutable consistent-hash ring over a set of backends.
-// Each backend owns VirtualNodes points; a key belongs to the first
+// Each backend owns RingVirtualNodes points; a key belongs to the first
 // point at or clockwise after its hash. Build once with NewRing —
 // membership changes mean building a new ring, which keeps lookups
 // lock-free.
 type Ring struct {
 	points   []ringPoint
 	backends []string
-	vnodes   int
 }
 
 type ringPoint struct {
@@ -41,22 +40,18 @@ type ringPoint struct {
 	backend int // index into backends
 }
 
-// DefaultVirtualNodes is the per-backend point count: prime, so the
+// RingVirtualNodes is the per-backend point count: prime, so the
 // point pattern of one backend cannot alias another's.
-const DefaultVirtualNodes = 97
+const RingVirtualNodes = 97
 
 // NewRing builds a ring over the given backends (order does not matter;
-// placement depends only on the name set). virtualNodes <= 0 selects
-// DefaultVirtualNodes.
-func NewRing(backends []string, virtualNodes int) (*Ring, error) {
+// placement depends only on the name set).
+func NewRing(backends []string) (*Ring, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one backend")
 	}
-	if virtualNodes <= 0 {
-		virtualNodes = DefaultVirtualNodes
-	}
 	seen := make(map[string]bool, len(backends))
-	r := &Ring{backends: append([]string(nil), backends...), vnodes: virtualNodes}
+	r := &Ring{backends: append([]string(nil), backends...)}
 	for i, b := range r.backends {
 		if b == "" {
 			return nil, fmt.Errorf("cluster: empty backend name")
@@ -65,7 +60,7 @@ func NewRing(backends []string, virtualNodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", b)
 		}
 		seen[b] = true
-		for v := 0; v < virtualNodes; v++ {
+		for v := 0; v < RingVirtualNodes; v++ {
 			pos := ringHash(b + "#" + strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{pos: pos, backend: i})
 		}
@@ -154,4 +149,4 @@ func (r *Ring) Backends() []string { return append([]string(nil), r.backends...)
 func (r *Ring) Points() int { return len(r.points) }
 
 // VirtualNodes returns the per-backend point count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
+func (r *Ring) VirtualNodes() int { return RingVirtualNodes }

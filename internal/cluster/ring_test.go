@@ -24,23 +24,23 @@ func testKeys(n int) []string {
 }
 
 func TestRingRejectsBadInput(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate backend accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty backend name accepted")
 	}
 }
 
 func TestRingDeterministicAndOrderInvariant(t *testing.T) {
-	a, err := NewRing([]string{"x", "y", "z"}, 0)
+	a, err := NewRing([]string{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"z", "x", "y"}, 0)
+	b, err := NewRing([]string{"z", "x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestRingDeterministicAndOrderInvariant(t *testing.T) {
 			t.Fatalf("placement depends on construction order for %q: %s vs %s", k, a.Primary(k), b.Primary(k))
 		}
 	}
-	if a.Points() != 3*DefaultVirtualNodes {
-		t.Errorf("points = %d, want %d", a.Points(), 3*DefaultVirtualNodes)
+	if a.Points() != 3*RingVirtualNodes {
+		t.Errorf("points = %d, want %d", a.Points(), 3*RingVirtualNodes)
 	}
 }
 
 func TestRingSpreadsStructuredKeys(t *testing.T) {
 	backends := testBackends(3)
-	r, err := NewRing(backends, 0)
+	r, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestRingSpreadsStructuredKeys(t *testing.T) {
 // backend must not move any key between the survivors.
 func TestRingConsistency(t *testing.T) {
 	backends := testBackends(4)
-	full, err := NewRing(backends, 0)
+	full, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
 	removed := backends[2]
-	smaller, err := NewRing(append(append([]string{}, backends[:2]...), backends[3]), 0)
+	smaller, err := NewRing(append(append([]string{}, backends[:2]...), backends[3]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRingConsistency(t *testing.T) {
 // primary first, deterministic, and exhaustive when n covers the ring.
 func TestRingReplicas(t *testing.T) {
 	backends := testBackends(4)
-	r, err := NewRing(backends, 0)
+	r, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}

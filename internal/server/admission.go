@@ -10,57 +10,39 @@ import (
 )
 
 // admission is the server's overload valve. Every compute request
-// (simulate, model, sweep) claims one slot in a bounded global queue and
-// one in its endpoint's queue before any work is scheduled; when either
-// is full the request is shed immediately with an "overloaded" envelope
-// and a Retry-After hint derived from the current queue depth, so a
-// burst of distinct jobs (the memoizer-defeating load shape) degrades
-// into fast 429s instead of an unbounded backlog of goroutines. Healthz
-// and stats bypass admission: they must answer while the server sheds.
+// (simulate, model, sweep) claims one slot in a bounded global queue
+// before any work is scheduled; when it is full the request is shed
+// immediately with an "overloaded" envelope and a Retry-After hint
+// derived from the current queue depth, so a burst of distinct jobs
+// (the memoizer-defeating load shape) degrades into fast 429s instead
+// of an unbounded backlog of goroutines. Healthz and stats bypass
+// admission: they must answer while the server sheds.
 type admission struct {
-	slots    chan struct{}
-	endpoint map[string]chan struct{}
+	slots chan struct{}
 
 	queued *obs.Gauge
 	shed   *obs.Counter
 }
 
-// newAdmission builds the valve: capacity slots globally, perEndpoint
-// slots for each named endpoint (perEndpoint >= capacity disables the
-// per-endpoint level in practice).
-func newAdmission(capacity, perEndpoint int, endpoints []string, m *obs.Registry) *admission {
-	a := &admission{
-		slots:    make(chan struct{}, capacity),
-		endpoint: make(map[string]chan struct{}, len(endpoints)),
-		queued:   m.Gauge("admission.queued"),
-		shed:     m.Counter("admission.shed"),
-	}
+// newAdmission builds a valve of capacity slots.
+func newAdmission(capacity int, m *obs.Registry) *admission {
 	m.Gauge("admission.capacity").Set(int64(capacity))
-	for _, e := range endpoints {
-		a.endpoint[e] = make(chan struct{}, perEndpoint)
+	return &admission{
+		slots:  make(chan struct{}, capacity),
+		queued: m.Gauge("admission.queued"),
+		shed:   m.Counter("admission.shed"),
 	}
-	return a
 }
 
-// tryAdmit claims a global and a per-endpoint slot without blocking.
-// On success the returned release frees both (call exactly once); on
-// overload it returns false and counts the shed.
-func (a *admission) tryAdmit(endpoint string) (release func(), ok bool) {
+// tryAdmit claims a slot without blocking. On success the returned
+// release frees it (extra calls are no-ops); on overload it returns
+// false and counts the shed.
+func (a *admission) tryAdmit() (release func(), ok bool) {
 	select {
 	case a.slots <- struct{}{}:
 	default:
 		a.shed.Inc()
 		return nil, false
-	}
-	ep := a.endpoint[endpoint]
-	if ep != nil {
-		select {
-		case ep <- struct{}{}:
-		default:
-			<-a.slots
-			a.shed.Inc()
-			return nil, false
-		}
 	}
 	a.queued.Inc()
 	var released atomic.Bool
@@ -69,9 +51,6 @@ func (a *admission) tryAdmit(endpoint string) (release func(), ok bool) {
 			return
 		}
 		a.queued.Dec()
-		if ep != nil {
-			<-ep
-		}
 		<-a.slots
 	}, true
 }
@@ -135,7 +114,7 @@ type Fault struct {
 
 // FaultFunc deterministically maps (stage, sequence number) to a fault
 // to inject; stages are "admit" (before admission control runs) and
-// "compute" (on a pool worker, before the job body). Sequence numbers
+// "compute" (in a compute slot, before the job body). Sequence numbers
 // start at 1 and are per-stage. Fault injection exists for the stress
 // suite: production servers leave Options.Faults nil.
 type FaultFunc func(stage string, seq uint64) Fault

@@ -4,13 +4,13 @@
 //
 //	POST /v1/simulate  — run a synthetic pattern through one cache organisation
 //	POST /v1/model     — evaluate the MM/CC analytic models at one operating point
-//	POST /v1/sweep     — a batch of simulate/model jobs fanned out over a worker pool
+//	POST /v1/sweep     — a batch of simulate/model jobs fanned out over the compute slots
 //	GET  /v1/healthz   — liveness
-//	GET  /v1/stats     — metrics registry, memoizer and worker-pool counters
+//	GET  /v1/stats     — metrics registry, memoizer and compute-slot counters
 //
 // Identical requests are computed once (an LRU memoizer keyed on the
-// canonical form of the request), work is bounded by a GOMAXPROCS-sized
-// worker pool, and shutdown drains in-flight requests.
+// canonical form of the request), at most GOMAXPROCS jobs run at once,
+// and shutdown drains in-flight requests.
 package server
 
 import (
@@ -27,7 +27,7 @@ import (
 // bounds logic lives here and nowhere else.
 type Limits struct {
 	// MaxRefsPerJob bounds the accesses one simulate job may issue
-	// (passes × refs/pass), so a single request cannot pin a worker
+	// (passes × refs/pass), so a single request cannot pin a compute slot
 	// indefinitely. 0 selects the default (64Mi references).
 	MaxRefsPerJob int
 	// MaxSweepJobs bounds one sweep batch; 0 selects the default (4096).
@@ -304,7 +304,7 @@ func (j SweepJob) Key() string {
 	return "invalid"
 }
 
-// SweepRequest is a batch of jobs fanned out across the worker pool.
+// SweepRequest is a batch of jobs fanned out across the compute slots.
 type SweepRequest struct {
 	Jobs []SweepJob `json:"jobs"`
 }

@@ -57,13 +57,13 @@ type inflightCall struct {
 }
 
 // computeJob evaluates one job, whose canonical key is key, through the
-// two cache tiers and the worker pool: memo hit → cached result; memo
+// two cache tiers and the compute pool: memo hit → cached result; memo
 // miss → persist-tier lookup (a disk hit is promoted into the LRU and
-// counts as memoized); full miss → compute on a pool worker, then store
+// counts as memoized); full miss → compute in a pool slot, then store
 // through both tiers.
 // Concurrent identical jobs are single-flighted: the first becomes the
 // leader and computes, the rest share its result and count as memoized —
-// so a sweep repeating one config costs one worker slot, not many.
+// so a sweep repeating one config costs one compute slot, not many.
 func (s *Server) computeJob(ctx context.Context, job SweepJob, key string, degrade bool) (result any, memoized bool, err error) {
 	for {
 		_, mspan := obs.Start(ctx, "memo.lookup")
@@ -150,8 +150,8 @@ func isDegraded(v any) bool {
 	return ok && sr.Degraded
 }
 
-// compute runs one job on a pool worker. Simulation panics (a config
-// that slipped past validation) surface as errors, not a crashed worker.
+// compute runs one job in a pool slot. Simulation panics (a config
+// that slipped past validation) surface as errors, not a crashed server.
 // A job stopped early by its context surfaces as a PartialError, whose
 // completed-reference count feeds the /v1/stats partial-work counters.
 func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, error) {
@@ -193,17 +193,17 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	s.serveJob(w, r, "simulate", &req, SweepJob{Simulate: &req})
+	s.serveJob(w, r, &req, SweepJob{Simulate: &req})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	var req ModelRequest
-	s.serveJob(w, r, "model", &req, SweepJob{Model: &req})
+	s.serveJob(w, r, &req, SweepJob{Model: &req})
 }
 
 // serveJob answers one simulate or model request: the body decodes into
 // req, which job wraps. Only a simulate job may be degraded.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req any, job SweepJob) {
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, job SweepJob) {
 	if err := s.decodeJSON(w, r, req); err != nil {
 		WriteError(w, err)
 		return
@@ -212,7 +212,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 		WriteError(w, err)
 		return
 	}
-	release, err := s.admitRequest(r.Context(), endpoint)
+	release, err := s.admitRequest(r.Context())
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -229,7 +229,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	s.writeConditional(w, r, key, v, memoized)
 }
 
-// handleSweep fans the batch out across the worker pool and streams the
+// handleSweep fans the batch out across the compute slots and streams the
 // results back in input order as they complete (see WriteSweep).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
@@ -241,9 +241,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	// One admission slot covers the whole batch: the worker pool already
+	// One admission slot covers the whole batch: the compute pool already
 	// bounds its parallelism, so the queue tracks requests, not jobs.
-	release, err := s.admitRequest(r.Context(), "sweep")
+	release, err := s.admitRequest(r.Context())
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -343,7 +343,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	v2.Admission.Pressure = s.admit.pressure()
 	resp := StatsResponse{Schema: v2.Schema, Memo: v2.Memo, Persist: v2.Persist,
 		Admission: v2.Admission, Partial: v2.Partial, Metrics: snap}
-	resp.Pool.Workers = s.pool.Size()
+	resp.Pool.Workers = s.pool.size()
 	resp.Pool.Busy = snap.Gauges["pool.busy"]
 	resp.Pool.Queued = snap.Gauges["pool.queued"]
 	SetDeprecationHeaders(w.Header().Set)

@@ -6,6 +6,6 @@ import (
 	"primecache/internal/sim/leak"
 )
 
-// TestMain asserts the whole suite quiesces: no pool worker, drain
+// TestMain asserts the whole suite quiesces: no sweep fan-out, drain
 // goroutine, or fault timer may outlive the tests that started it.
 func TestMain(m *testing.M) { leak.Main(m) }

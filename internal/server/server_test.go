@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -528,9 +529,30 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// waitGauge polls g until it reads want, failing the test after ten
+// seconds.
+func waitGauge(t *testing.T, g *obs.Gauge, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Value() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge = %d, want %d", g.Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolBounds: at most size jobs run at once, each on the goroutine
+// that submitted it; building the pool starts no goroutine; and a
+// Submit whose context ends while every slot is held gives up without
+// running its job.
 func TestPoolBounds(t *testing.T) {
 	m := obs.NewRegistry(nil)
-	p := NewPool(3, m, nil)
+	before := runtime.NumGoroutine()
+	p := newPool(3, m, nil)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("newPool started %d goroutines", after-before)
+	}
 	defer p.Close()
 	var wg sync.WaitGroup
 	var maxBusy int64
@@ -547,24 +569,55 @@ func TestPoolBounds(t *testing.T) {
 					maxBusy = b
 				}
 				mu.Unlock()
+				// The job runs on the submitting goroutine, so Submit
+				// is a frame of its stack (not just its creator).
+				buf := make([]byte, 1<<14)
+				if st := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(st, "(*pool).Submit(") {
+					t.Errorf("job not run on the submitting goroutine:\n%s", st)
+				}
 				running <- struct{}{}
 				<-block
 				return nil, nil
 			})
 		}()
 	}
-	// Three jobs announcing themselves means all three workers hold a
+	// Three jobs announcing themselves means all three slots hold a
 	// blocked job; a fourth cannot start until one finishes.
 	for i := 0; i < 3; i++ {
 		select {
 		case <-running:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of 3 workers picked up jobs", i)
+			t.Fatalf("only %d of 3 slots took jobs", i)
 		}
 	}
 	if b := m.Gauge("pool.busy").Value(); b != 3 {
-		t.Errorf("busy = %d with 10 blocked jobs on 3 workers", b)
+		t.Errorf("busy = %d with 10 blocked jobs on 3 slots", b)
 	}
+	queued := m.Gauge("pool.queued")
+	waitGauge(t, queued, 7)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	var ran atomic.Bool
+	go func() {
+		_, err := p.Submit(ctx, func(context.Context) (any, error) {
+			ran.Store(true)
+			return nil, nil
+		})
+		errc <- err
+	}()
+	waitGauge(t, queued, 8)
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Errorf("Submit with a cancelled context = %v, want context.Canceled", err)
+	}
+	if ran.Load() {
+		t.Error("job of a cancelled Submit ran")
+	}
+	if q := queued.Value(); q != 7 {
+		t.Errorf("pool.queued = %d after the cancelled Submit, want 7", q)
+	}
+
 	close(block)
 	wg.Wait()
 	if maxBusy > 3 {
@@ -572,6 +625,9 @@ func TestPoolBounds(t *testing.T) {
 	}
 	if got := m.Counter("pool.completed").Value(); got != 10 {
 		t.Errorf("completed = %d, want 10", got)
+	}
+	if q, b := queued.Value(), m.Gauge("pool.busy").Value(); q != 0 || b != 0 {
+		t.Errorf("pool.queued = %d, pool.busy = %d when idle, want 0 and 0", q, b)
 	}
 }
 
@@ -677,22 +733,51 @@ func TestValidateBoundsCacheSize(t *testing.T) {
 	}
 }
 
-// TestPoolQueuedGaugeOnClose checks the shutdown race does not leak the
-// pool.queued gauge: a task that slips into the queue after the workers
-// drain is abandoned with ErrPoolClosed and must still be un-counted.
+// TestPoolQueuedGaugeOnClose: Close does not return while a job is
+// running, refuses every Submit from the moment it starts, and leaves
+// the pool.queued gauge at zero.
 func TestPoolQueuedGaugeOnClose(t *testing.T) {
 	m := obs.NewRegistry(nil)
-	p := NewPool(1, m, nil)
-	p.Close()
+	p := newPool(1, m, nil)
+	running := make(chan struct{})
+	block := make(chan struct{})
+	go p.Submit(context.Background(), func(context.Context) (any, error) {
+		close(running)
+		<-block
+		return nil, nil
+	})
+	<-running
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	nop := func(context.Context) (any, error) { return nil, nil }
+	if _, err := p.Submit(context.Background(), nop); err != ErrPoolClosed {
+		t.Errorf("Submit while closing = %v, want ErrPoolClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(block)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the running job finished")
+	}
+	p.Close() // idempotent
 	for i := 0; i < 100; i++ {
-		if _, err := p.Submit(context.Background(), func(context.Context) (any, error) {
-			return nil, nil
-		}); err != ErrPoolClosed {
+		if _, err := p.Submit(context.Background(), nop); err != ErrPoolClosed {
 			t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
 		}
 	}
 	if q := m.Gauge("pool.queued").Value(); q != 0 {
 		t.Errorf("pool.queued = %d after close, want 0", q)
+	}
+	if c := m.Counter("pool.completed").Value(); c != 1 {
+		t.Errorf("pool.completed = %d, want 1", c)
 	}
 }
 

@@ -2,8 +2,8 @@
 // chaos harness: it snapshots the live goroutines, filters the ones the
 // runtime and test framework own, and reports whatever is left. The
 // server, cluster, and client suites assert through Main that they end
-// with no stray prober tickers, hedge timers, pool workers, or
-// keep-alive loops; the chaos harness runs the same check at quiesce as
+// with no stray prober tickers, hedge timers, sweep fan-out goroutines,
+// or keep-alive loops; the chaos harness runs the same check at quiesce as
 // one of its invariants.
 package leak
 
