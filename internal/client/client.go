@@ -23,7 +23,6 @@ import (
 
 	"primecache/internal/obs"
 	"primecache/internal/server"
-	"primecache/internal/sim"
 )
 
 // Client talks to one vcached instance.
@@ -33,7 +32,6 @@ type Client struct {
 	retries int           // extra attempts after the first
 	backoff time.Duration // first retry delay, doubled per attempt
 	maxWait time.Duration // ceiling on any single delay
-	clock   sim.Clock     // backoff timer source; sim.Real in production
 	etags   *etagCache    // conditional-request cache; nil when disabled
 	token   string        // admin bearer token; empty sends no Authorization
 
@@ -83,13 +81,6 @@ func WithETagCache(n int) Option {
 	return func(c *Client) { c.etags = newEtagCache(n) }
 }
 
-// WithClock injects the time source behind retry backoff waits, so
-// simulation tests advance the delays explicitly instead of waiting
-// them out on the wall clock.
-func WithClock(clk sim.Clock) Option {
-	return func(c *Client) { c.clock = sim.Or(clk) }
-}
-
 // WithAdminToken sets the bearer token sent as an Authorization header
 // on every request, required by the coordinator's token-gated
 // /v1/admin endpoints. Non-admin endpoints ignore it.
@@ -106,7 +97,6 @@ func New(baseURL string, opts ...Option) *Client {
 		retries: 3,
 		backoff: 50 * time.Millisecond,
 		maxWait: 5 * time.Second,
-		clock:   sim.Real,
 		etags:   newEtagCache(256),
 	}
 	for _, o := range opts {
@@ -261,6 +251,28 @@ func (c *Client) SweepRaw(ctx context.Context, req server.SweepRequest, fn func(
 	return err
 }
 
+// Relay posts req to path (/v1/simulate or /v1/model), sending
+// ifNoneMatch when not empty, and returns the answer's bytes and ETag;
+// a 304 returns a nil body and the memoized verdict from its header. A
+// 2xx body that is not one JSON value fails the call.
+func (c *Client) Relay(ctx context.Context, path string, req any, ifNoneMatch string) (body []byte, etag string, memoized bool, err error) {
+	cd, err := c.do(ctx, http.MethodPost, path, req, streamBody(func(r io.Reader) error {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return fmt.Errorf("client: reading %s response: %w", path, err)
+		}
+		if !json.Valid(data) {
+			return fmt.Errorf("client: %s response is not one JSON value", path)
+		}
+		body = data
+		return nil
+	}), ifNoneMatch)
+	if err != nil {
+		return nil, "", false, err
+	}
+	return body, cd.etag, cd.memoized, nil
+}
+
 // streamBody, passed to do as its out value, consumes a 2xx response
 // body as a stream instead of having it buffered and decoded.
 type streamBody func(io.Reader) error
@@ -303,9 +315,6 @@ func (c *Client) Healthz(ctx context.Context) error {
 	_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &struct{}{}, "")
 	return err
 }
-
-// BaseURL returns the instance this client talks to.
-func (c *Client) BaseURL() string { return c.base }
 
 // Close releases the client's idle keep-alive connections. Long-lived
 // owners (the cluster coordinator, test suites with goroutine-leak
@@ -391,7 +400,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, ifNon
 		c.mu.Lock()
 		delay += time.Duration(c.rng.Int63n(int64(delay/2) + 1))
 		c.mu.Unlock()
-		t := c.clock.NewTimer(delay)
+		t := time.NewTimer(delay)
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -438,19 +447,19 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	defer resp.Body.Close()
 	respBody := io.LimitReader(resp.Body, 64<<20)
+	cd := cond{etag: resp.Header.Get("ETag")}
 	if read, ok := out.(streamBody); ok && resp.StatusCode/100 == 2 {
-		return cond{}, read(respBody)
+		return cd, read(respBody)
 	}
 	data, err := io.ReadAll(respBody)
 	if err != nil {
-		return cond{}, fmt.Errorf("client: reading response: %w", err)
+		return cd, fmt.Errorf("client: reading response: %w", err)
 	}
-	cd := cond{etag: resp.Header.Get("ETag")}
 	if resp.StatusCode == http.StatusNotModified {
 		// Bodiless by definition; the stored entity is current. The
 		// memoized verdict rides a header since there is no body.
 		cd.notModified = true
-		cd.memoized = resp.Header.Get("X-Vcached-Memoized") == "true"
+		cd.memoized = resp.Header.Get(server.MemoizedHeader) == "true"
 		return cd, nil
 	}
 	if resp.StatusCode/100 != 2 {

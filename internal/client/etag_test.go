@@ -1,8 +1,10 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -101,6 +103,53 @@ func TestConditionalDisabled(t *testing.T) {
 	}
 	if n := conditional.Load(); n != 0 {
 		t.Errorf("client sent %d conditional requests with the ETag cache disabled", n)
+	}
+}
+
+// TestRelay: Relay hands back a node's answer as its bytes with the
+// ETag, a matching If-None-Match as a nil body with the memoized
+// verdict, and fails on a 2xx body that is not one JSON value.
+func TestRelay(t *testing.T) {
+	s := server.New(server.Options{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, client.WithRetries(0))
+	ctx := context.Background()
+	req := server.ModelRequest{Banks: 64, Tm: 64, B: 4096}
+
+	body, etag, _, err := c.Relay(ctx, "/v1/model", req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/model", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if etag == "" || etag != resp.Header.Get("ETag") {
+		t.Errorf("relayed ETag %q, node sends %q", etag, resp.Header.Get("ETag"))
+	}
+	// The node's second answer is a memo hit; so is the relayed one
+	// after the first call, which is the only field that differs.
+	if got := bytes.Replace(body, []byte(`"memoized": false`), []byte(`"memoized": true`), 1); !bytes.Equal(got, want) {
+		t.Errorf("relayed body differs from the node's bytes:\n%s\nwant\n%s", body, want)
+	}
+
+	body, etag2, memoized, err := c.Relay(ctx, "/v1/model", req, etag)
+	if err != nil || body != nil || etag2 != etag || !memoized {
+		t.Errorf("conditional relay: body %q, ETag %q, memoized %v, err %v; want nil body, %q, true", body, etag2, memoized, err, etag)
+	}
+
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"stats": {`))
+	}))
+	defer broken.Close()
+	if body, _, _, err := client.New(broken.URL, client.WithRetries(0)).Relay(ctx, "/v1/model", req, ""); err == nil {
+		t.Errorf("Relay accepted a body that is not JSON: %q", body)
 	}
 }
 

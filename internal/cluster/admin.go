@@ -95,8 +95,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	copts := append([]client.Option{client.WithRetries(0)}, c.opts.ClientOptions...)
-	joiner := &backendState{url: req.URL, client: client.New(req.URL, copts...)}
+	joiner := &backendState{url: req.URL, client: c.newBackendClient(req.URL)}
 	pctx, pcancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
 	rz, err := joiner.client.Readyz(pctx)
 	pcancel()

@@ -62,3 +62,61 @@ func BenchmarkCoordinatorSweep(b *testing.B) {
 		sweep()
 	}
 }
+
+// BenchmarkCoordinatorSimulate times one memo-hit /v1/simulate through
+// a 3-backend local cluster: routing, the owning backend's memo answer
+// and the coordinator's relay of it. The plain sub-benchmark sends no
+// validator and reads a 200 body; if-none-match sends the job's ETag
+// and reads a bodiless 304. Allocations count the whole in-process
+// cluster and the client reading the answer.
+func BenchmarkCoordinatorSimulate(b *testing.B) {
+	lc, err := StartLocal(3, server.Options{}, Options{ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lc.Close()
+	body, err := json.Marshal(server.SimulateRequest{
+		Cache:   cache.Spec{Kind: "prime", C: 13},
+		Pattern: trace.Pattern{Name: "strided", Stride: 512, N: 4096},
+		Passes:  4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	simulate := func(b *testing.B, inm string, want int) string {
+		req, err := http.NewRequest(http.MethodPost, lc.URL()+"/v1/simulate", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != want {
+			b.Fatalf("simulate: status %d, want %d, %v", resp.StatusCode, want, err)
+		}
+		return resp.Header.Get("ETag")
+	}
+	etag := simulate(b, "", http.StatusOK) // fill the owning backend's memo
+	for _, bc := range []struct {
+		name string
+		inm  string
+		want int
+	}{
+		{"plain", "", http.StatusOK},
+		{"if-none-match", etag, http.StatusNotModified},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simulate(b, bc.inm, bc.want)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -603,10 +604,10 @@ func TestClusterFailoverPrefersWarmReplica(t *testing.T) {
 	}
 }
 
-// TestClusterConditionalGet checks the coordinator answers
-// If-None-Match at the edge: the second identical request gets a
-// bodiless 304 carrying the memoized verdict header, with the same
-// ETag a backend would emit.
+// TestClusterConditionalGet checks If-None-Match through the
+// coordinator: the second identical request gets a bodiless 304
+// carrying the memoized verdict header, with the same ETag a backend
+// would emit.
 func TestClusterConditionalGet(t *testing.T) {
 	lc, err := StartLocal(2, server.Options{}, Options{ProbeInterval: -1, HedgeAfter: -1})
 	if err != nil {
@@ -679,6 +680,131 @@ func TestClusterConditionalGet(t *testing.T) {
 	}
 	if !res.Memoized {
 		t.Error("304-served repeat lost the memoized verdict")
+	}
+}
+
+// postJob sends req to url+path, with If-None-Match when inm is not
+// empty, and returns the response and its body bytes.
+func postJob(t *testing.T, url, path string, req any, inm string) (*http.Response, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if inm != "" {
+		hreq.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// TestCoordinatorForwardsIfNoneMatch: the coordinator passes a caller's
+// If-None-Match to the owning backend, which alone answers 304, and
+// keeps no validators of its own, so a plain repeat is a plain 200
+// from the backend.
+func TestCoordinatorForwardsIfNoneMatch(t *testing.T) {
+	lc, err := StartLocal(3, server.Options{}, Options{ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	owner := lc.Backends[1]
+	req := keyOnBackend(t, lc.Coordinator.Ring(), owner.URL())
+	notModified := owner.Server.Metrics().Counter("etag.notModified")
+
+	resp, _ := postJob(t, owner.URL(), "/v1/simulate", req, "")
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || etag == "" {
+		t.Fatalf("backend answered %d with ETag %q", resp.StatusCode, etag)
+	}
+
+	before := notModified.Value()
+	resp, data := postJob(t, lc.URL(), "/v1/simulate", req, etag)
+	if resp.StatusCode != http.StatusNotModified || len(data) != 0 {
+		t.Fatalf("conditional request through the coordinator: status %d, %d body bytes; want 304 and none", resp.StatusCode, len(data))
+	}
+	if got := resp.Header.Get(server.MemoizedHeader); got != "true" {
+		t.Errorf("%s = %q on 304, want true", server.MemoizedHeader, got)
+	}
+	if got := resp.Header.Get("ETag"); got != etag {
+		t.Errorf("304 ETag %q, want %q", got, etag)
+	}
+	if n := notModified.Value() - before; n != 1 {
+		t.Errorf("backend answered %d conditionals, want 1: the coordinator must forward If-None-Match", n)
+	}
+
+	before = notModified.Value()
+	resp, data = postJob(t, lc.URL(), "/v1/simulate", req, "")
+	if resp.StatusCode != http.StatusOK || len(data) == 0 {
+		t.Fatalf("plain repeat through the coordinator: status %d, %d body bytes; want 200 with a body", resp.StatusCode, len(data))
+	}
+	if n := notModified.Value() - before; n != 0 {
+		t.Errorf("a plain repeat cost the backend %d conditionals, want 0: the coordinator must not revalidate on its own", n)
+	}
+}
+
+// TestClusterSingleJobMatchesSingleNode: single /v1/simulate and
+// /v1/model answers through a 3-backend coordinator match a single
+// node's in status, ETag, Content-Type, the memoized header and body
+// bytes. The jobs are the wire golden's: a simulate miss, its memo
+// hit, its 304, a victim-cache job and a model job.
+func TestClusterSingleJobMatchesSingleNode(t *testing.T) {
+	single := server.New(server.Options{})
+	defer single.Close()
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	lc, err := StartLocal(3, server.Options{}, Options{ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	prime := server.SimulateRequest{
+		Cache:   cache.Spec{Kind: "prime", C: 13},
+		Pattern: trace.Pattern{Name: "strided", Stride: 512, N: 4096},
+		Passes:  4,
+	}
+	victim := server.SimulateRequest{
+		Cache:   cache.Spec{Kind: "victim", Lines: 1024, VictimLines: 8},
+		Pattern: trace.Pattern{Name: "strided", Stride: 1024, N: 6, Stream: 1},
+		Passes:  4,
+	}
+	model := server.ModelRequest{Banks: 64, Tm: 64, B: 4096}
+	transcript := func(url string) string {
+		var out bytes.Buffer
+		var primeETag string
+		exchange := func(name, path string, req any, inm string) {
+			resp, data := postJob(t, url, path, req, inm)
+			if name == "simulate miss" {
+				primeETag = resp.Header.Get("ETag")
+			}
+			fmt.Fprintf(&out, "== %s\nstatus: %d\netag: %s\ncontent-type: %s\nmemoized-header: %s\nbody:\n%s\n",
+				name, resp.StatusCode, resp.Header.Get("ETag"), resp.Header.Get("Content-Type"),
+				resp.Header.Get(server.MemoizedHeader), data)
+		}
+		exchange("simulate miss", "/v1/simulate", prime, "")
+		exchange("simulate memo hit", "/v1/simulate", prime, "")
+		exchange("simulate not modified", "/v1/simulate", prime, primeETag)
+		exchange("simulate victim", "/v1/simulate", victim, "")
+		exchange("model", "/v1/model", model, "")
+		return out.String()
+	}
+	want, got := transcript(sts.URL), transcript(lc.URL())
+	if got != want {
+		t.Fatalf("cluster single-job answers differ from a single node's:\n--- cluster\n%s--- single node\n%s", got, want)
 	}
 }
 

@@ -44,7 +44,7 @@ type Options struct {
 	RequestTimeout time.Duration
 	// ClientOptions apply to every backend client. The coordinator owns
 	// retry policy (failover across replicas), so per-backend clients
-	// default to zero retries.
+	// default to zero retries and no conditional-request cache.
 	ClientOptions []client.Option
 	// Clock is the time source behind the readiness-probe ticker, hedge
 	// timers, and per-backend latency histograms; nil selects the real
@@ -169,8 +169,7 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c.registerMetrics()
 	for _, u := range opts.Backends {
-		copts := append([]client.Option{client.WithRetries(0)}, opts.ClientOptions...)
-		c.backends[u] = c.track(&backendState{url: u, client: client.New(u, copts...)})
+		c.backends[u] = c.track(&backendState{url: u, client: c.newBackendClient(u)})
 	}
 	if opts.MaxInflight > 0 {
 		c.slots = make(chan struct{}, opts.MaxInflight)
@@ -193,6 +192,12 @@ func New(opts Options) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /v1/admin/backends", c.traced("admin.join", c.requireAdmin(c.handleAdminJoin)))
 	c.mux.HandleFunc("DELETE /v1/admin/backends", c.traced("admin.leave", c.requireAdmin(c.handleAdminLeave)))
 	return c, nil
+}
+
+// newBackendClient builds a backend's client. The coordinator owns
+// retries (failover) and keeps no result cache.
+func (c *Coordinator) newBackendClient(url string) *client.Client {
+	return client.New(url, append([]client.Option{client.WithRetries(0), client.WithETagCache(0)}, c.opts.ClientOptions...)...)
 }
 
 // traced wraps a proxied-compute handler with the edge span of its
@@ -427,20 +432,28 @@ func (c *Coordinator) callBackend(b *backendState, fn func() error) error {
 	return err
 }
 
-// runSingle executes one simulate/model job: try the key's replicas in
-// ring order, hedging the primary after its latency quantile and
-// failing over on any retryable error. The first success wins; losers
-// are cancelled.
-func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key string, do func(ctx context.Context, cl *client.Client) (any, error)) (any, error) {
+// relayed is a backend's answer to a single job: the body bytes (nil
+// for a 304), the ETag and, on a 304, the memoized verdict.
+type relayed struct {
+	body     []byte
+	etag     string
+	memoized bool
+}
+
+// runSingle executes one simulate/model job at path: try the key's
+// replicas in ring order, hedging the primary after its latency
+// quantile and failing over on any retryable error. The first success
+// wins; losers are cancelled.
+func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key, path string, req any, ifNoneMatch string) (relayed, error) {
 	cands := c.candidates(ring, key, nil)
 	if len(cands) == 0 {
-		return nil, server.Errf(server.CodeUnavailable, "cluster: no backend available for job")
+		return relayed{}, server.Errf(server.CodeUnavailable, "cluster: no backend available for job")
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type attempt struct {
-		v   any
+		v   relayed
 		err error
 		b   *backendState
 	}
@@ -456,10 +469,10 @@ func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key string, do 
 			// chaos harness prove failover hops stay in one trace.
 			cctx, span := obs.Start(actx, "call",
 				obs.String("backend", b.url), obs.Int("attempt", idx))
-			var v any
+			var v relayed
 			err := c.callBackend(b, func() error {
 				var err error
-				v, err = do(cctx, b.client)
+				v.body, v.etag, v.memoized, err = b.client.Relay(cctx, path, req, ifNoneMatch)
 				return err
 			})
 			span.SetAttr("ok", strconv.FormatBool(err == nil))
@@ -488,10 +501,10 @@ func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key string, do 
 			lastErr = a.err
 			c.noteFailure(a.b, a.err)
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return relayed{}, err
 			}
 			if !retryable(a.err) {
-				return nil, a.err
+				return relayed{}, a.err
 			}
 			if launched < len(cands) {
 				c.reroutes.Inc()
@@ -499,7 +512,7 @@ func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key string, do 
 				pending++
 			}
 			if pending == 0 {
-				return nil, unavailableErr(lastErr)
+				return relayed{}, unavailableErr(lastErr)
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -509,7 +522,7 @@ func (c *Coordinator) runSingle(ctx context.Context, ring *Ring, key string, do 
 				pending++
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return relayed{}, ctx.Err()
 		}
 	}
 }
@@ -556,21 +569,18 @@ func writeErr(w http.ResponseWriter, err error) { server.WriteError(w, apiErrorF
 
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req server.SimulateRequest
-	c.proxyJob(w, r, &req, server.SweepJob{Simulate: &req}, func(ctx context.Context, cl *client.Client) (any, error) {
-		return cl.Simulate(ctx, req)
-	})
+	c.proxyJob(w, r, "/v1/simulate", &req, server.SweepJob{Simulate: &req})
 }
 
 func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	var req server.ModelRequest
-	c.proxyJob(w, r, &req, server.SweepJob{Model: &req}, func(ctx context.Context, cl *client.Client) (any, error) {
-		return cl.Model(ctx, req)
-	})
+	c.proxyJob(w, r, "/v1/model", &req, server.SweepJob{Model: &req})
 }
 
-// proxyJob answers one simulate or model request: the body decodes into
-// req, which job wraps, and do runs it on the replica runSingle picks.
-func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request, req any, job server.SweepJob, do func(context.Context, *client.Client) (any, error)) {
+// proxyJob answers one simulate or model request: the body decodes
+// into req, which job wraps for the routing key, and the backend's
+// answer at path, 200 or 304 to the caller's If-None-Match, is relayed.
+func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request, path string, req any, job server.SweepJob) {
 	if err := server.DecodeJSON(r.Body, req); err != nil {
 		writeErr(w, err)
 		return
@@ -582,35 +592,20 @@ func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request, req any, 
 	defer release()
 	ctx, cancel := c.requestCtx(r)
 	defer cancel()
-	v, err := c.runSingle(ctx, c.currentRing(), job.Key(), do)
+	res, err := c.runSingle(ctx, c.currentRing(), job.Key(), path, req, r.Header.Get("If-None-Match"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	switch res := v.(type) {
-	case *client.SimulateResult:
-		writeConditional(w, r, res.ETag, res.Memoized, res)
-	case *client.ModelResult:
-		writeConditional(w, r, res.ETag, res.Memoized, res)
+	w.Header().Set("ETag", res.etag)
+	if res.body == nil {
+		w.Header().Set(server.MemoizedHeader, strconv.FormatBool(res.memoized))
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-}
-
-// writeConditional echoes the backend's strong validator at the edge:
-// ETags are derived from the canonical job key and deterministic
-// result, so they match across backends and restarts, and the
-// coordinator can answer If-None-Match itself without re-serializing a
-// body. On 304 the memoized verdict rides the X-Vcached-Memoized
-// header, exactly as a single node answers.
-func writeConditional(w http.ResponseWriter, r *http.Request, etag string, memoized bool, body any) {
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && server.ETagMatch(inm, etag) {
-			w.Header().Set(server.MemoizedHeader, strconv.FormatBool(memoized))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, body)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(res.body) // the connection is the only failure mode here
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -261,3 +261,43 @@ func TestRelayStreamsBeforeLegEnds(t *testing.T) {
 		t.Fatalf("after the last result: %v, want io.EOF", err)
 	}
 }
+
+// TestRelaySingleJobBrokenBodyFailsOver: a backend whose /v1/simulate
+// 200 body is not one JSON value fails the call; the body is never
+// relayed, and the job fails over to the next replica, whose answer
+// matches a single node's.
+func TestRelaySingleJobBrokenBodyFailsOver(t *testing.T) {
+	coord, cts, urls := startRelayCluster(t, make([]server.Options, 3), func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/simulate" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("ETag", rec.Header().Get("ETag"))
+			_, _ = w.Write(append(append([]byte{}, body[:len(body)/2]...), "}\n"...))
+		})
+	})
+	req := keyOnBackend(t, coord.Ring(), urls[0])
+	single := server.New(server.Options{})
+	defer single.Close()
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+
+	resp, got := postJob(t, cts.URL, "/v1/simulate", req, "")
+	if resp.StatusCode != http.StatusOK || !json.Valid(got) {
+		t.Fatalf("cluster relayed a broken answer: status %d\n%s", resp.StatusCode, got)
+	}
+	if _, want := postJob(t, sts.URL, "/v1/simulate", req, ""); !bytes.Equal(got, want) {
+		t.Fatalf("cluster body differs from single node's after a broken answer:\n%s", got)
+	}
+	if n := coord.reroutes.Value(); n != 1 {
+		t.Errorf("reroutes = %d, want 1", n)
+	}
+}

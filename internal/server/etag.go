@@ -30,11 +30,10 @@ func resultETag(key string, body []byte) string {
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
-// ETagMatch implements the If-None-Match strong comparison: a bare *
+// etagMatch implements the If-None-Match strong comparison: a bare *
 // matches any current entity; weak validators (W/"...") never
-// strong-match. Exported because the cluster coordinator answers
-// conditional requests at the edge with backend-computed validators.
-func ETagMatch(headerValue, etag string) bool {
+// strong-match.
+func etagMatch(headerValue, etag string) bool {
 	for _, candidate := range strings.Split(headerValue, ",") {
 		candidate = strings.TrimSpace(candidate)
 		if candidate == "*" || candidate == etag {
@@ -59,7 +58,7 @@ func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key st
 	}
 	etag := resultETag(key, compact)
 	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
 		s.ctr.notModified.Inc()
 		w.Header().Set(MemoizedHeader, strconv.FormatBool(memoized))
 		w.WriteHeader(http.StatusNotModified)

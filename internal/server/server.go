@@ -206,15 +206,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return s.httpSrv.Serve(l)
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // BeginDrain flips the server to draining without touching the
 // listener: /v1/readyz starts answering 503 {"draining":true}, new
 // compute requests get the shutting_down envelope, and /v1/healthz
