@@ -156,7 +156,7 @@ type ModelResult struct {
 
 // Simulate runs one cache simulation.
 func (c *Client) Simulate(ctx context.Context, req server.SimulateRequest) (*SimulateResult, error) {
-	key := "simulate|" + req.Key()
+	key := req.Key()
 	inm, cached, _ := c.etags.lookup(key)
 	var out SimulateResult
 	cond, err := c.do(ctx, http.MethodPost, "/v1/simulate", req, &out, inm)
@@ -183,7 +183,7 @@ func (c *Client) Simulate(ctx context.Context, req server.SimulateRequest) (*Sim
 
 // Model evaluates the analytic models at one operating point.
 func (c *Client) Model(ctx context.Context, req server.ModelRequest) (*ModelResult, error) {
-	key := "model|" + req.Key()
+	key := req.Key()
 	inm, cached, _ := c.etags.lookup(key)
 	var out ModelResult
 	cond, err := c.do(ctx, http.MethodPost, "/v1/model", req, &out, inm)

@@ -125,11 +125,22 @@ func (r SimulateRequest) Validate(lim Limits) error {
 	return nil
 }
 
+// ResultEpoch versions what an answer means: which path answers a job
+// and what its fields hold. Every job key ends in it, so memo entries,
+// persist records, ETags and ring routing of one epoch never meet
+// another's, and a record stored under another epoch's key is a miss.
+// Bump it with any change that alters the bytes some job is answered
+// with.
+const ResultEpoch = 1
+
+// epochSuffix ends every job key.
+var epochSuffix = "|epoch=" + strconv.Itoa(ResultEpoch)
+
 // Key returns the canonical memoization key: equal requests (after
 // normalisation) produce equal keys.
 func (r SimulateRequest) Key() string {
 	r = r.Normalize()
-	return "simulate|" + r.Cache.String() + "|" + r.Pattern.String() + "|passes=" + strconv.Itoa(r.Passes)
+	return "simulate|" + r.Cache.String() + "|" + r.Pattern.String() + "|passes=" + strconv.Itoa(r.Passes) + epochSuffix
 }
 
 // SimulateResponse reports the full stats of one simulation.
@@ -236,7 +247,7 @@ func (r ModelRequest) Validate(Limits) error {
 func (r ModelRequest) Key() string {
 	r = r.Normalize()
 	return fmt.Sprintf("model|banks=%d,tm=%d,b=%d,r=%d,pds=%g,p1=%g,p1s2=%g,n=%d,c=%d",
-		r.Banks, r.Tm, r.B, r.R, *r.Pds, *r.P1, *r.P1S2, r.N, r.C)
+		r.Banks, r.Tm, r.B, r.R, *r.Pds, *r.P1, *r.P1S2, r.N, r.C) + epochSuffix
 }
 
 // ModelMachine is one column of the vcmodel table: every intermediate

@@ -318,10 +318,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // Deprecation/Sunset headers on the endpoint refer to the un-versioned
 // schema-1 layout as a whole.
 type StatsResponse struct {
-	Schema  int          `json:"schema"`
-	Memo    MemoBlock    `json:"memo"`
-	Persist PersistBlock `json:"persist"`
-	Pool    struct {
+	Schema int `json:"schema"`
+	// ResultEpoch is the ResultEpoch this node's answers, and the keys
+	// they are stored and tagged under, belong to.
+	ResultEpoch int          `json:"resultEpoch"`
+	Memo        MemoBlock    `json:"memo"`
+	Persist     PersistBlock `json:"persist"`
+	Pool        struct {
 		Workers int   `json:"workers"`
 		Busy    int64 `json:"busy"`
 		Queued  int64 `json:"queued"`
@@ -341,7 +344,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	snap := s.metrics.Snapshot()
 	v2 := StatsBlocks(snap)
 	v2.Admission.Pressure = s.admit.pressure()
-	resp := StatsResponse{Schema: v2.Schema, Memo: v2.Memo, Persist: v2.Persist,
+	resp := StatsResponse{Schema: v2.Schema, ResultEpoch: ResultEpoch, Memo: v2.Memo, Persist: v2.Persist,
 		Admission: v2.Admission, Partial: v2.Partial, Metrics: snap}
 	resp.Pool.Workers = s.pool.size()
 	resp.Pool.Busy = snap.Gauges["pool.busy"]

@@ -186,6 +186,47 @@ func TestWarmRestartFromPersist(t *testing.T) {
 	}
 }
 
+// TestPreEpochRecordIsMiss: a persist record stored under a job's key
+// without the ResultEpoch suffix, as a node before the epoch wrote it,
+// is never served. The job is computed afresh and stored under its
+// current key.
+func TestPreEpochRecordIsMiss(t *testing.T) {
+	store, err := persist.Open(persist.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := warmJob()
+	key := SweepJob{Simulate: &req}.Key()
+	old, ok := strings.CutSuffix(key, epochSuffix)
+	if !ok {
+		t.Fatalf("job key %q does not end in %q", key, epochSuffix)
+	}
+	stale := simulateResponse(req.Normalize(), cache.Stats{Accesses: 1, Hits: 1})
+	rec, _ := persistEncode(stale)
+	if err := store.Put(context.Background(), old, rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Options{Persist: store})
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate status %d: %s", resp.StatusCode, body)
+	}
+	var got struct {
+		SimulateResponse
+		Memoized bool `json:"memoized"`
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Memoized || got.Stats == stale.Stats {
+		t.Fatalf("pre-epoch record was served: memoized %v, stats %+v", got.Memoized, got.Stats)
+	}
+	if !s.Persist().Has(key) {
+		t.Error("computed answer left no record under the current key")
+	}
+}
+
 // TestStatsSchema2 pins the versioned stats surface: "schema": 2, the
 // uniform blocks, the persist block tracking the disk tier, and the
 // schema-1 deprecation announcement headers.
