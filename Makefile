@@ -48,10 +48,11 @@ cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/...
 
 # Overload stress suite under the race detector: fault-injected shedding,
-# organic 429 bursts, pressure-driven degradation, cancellation, and the
-# error-envelope contract (see internal/server/overload_test.go).
+# organic 429 bursts, answers that do not change under pressure,
+# cancellation, and the error-envelope contract (see
+# internal/server/overload_test.go).
 stress:
-	$(GO) test -race -count=1 -run 'Overload|Shed|Cancel|Degrad|Envelope|Partial' ./internal/server/... ./internal/client/...
+	$(GO) test -race -count=1 -run 'Overload|Shed|Cancel|Pressure|Envelope|Partial' ./internal/server/... ./internal/client/...
 
 # The go-test microbenchmarks (single iteration, compile-and-run check),
 # among them BenchmarkStrided64's batch and per-access rows for every

@@ -67,11 +67,10 @@ func main() {
 		drain   = flag.Duration("drain", time.Minute, "graceful-shutdown drain limit")
 		grace   = flag.Duration("drain-grace", time.Second, "readiness grace: how long /v1/readyz reports draining before the listener closes (0 disables)")
 
-		maxRefs   = flag.Int("max-refs", 0, "max references one simulate job may issue (0 = default 64Mi)")
-		maxJobs   = flag.Int("max-sweep-jobs", 0, "max jobs in one sweep batch (0 = default 4096)")
-		maxBody   = flag.Int64("max-body", 0, "max request body bytes (0 = default 8MiB)")
-		queue     = flag.Int("queue", 0, "admission backlog beyond the compute slots; excess requests get 429 (0 = default 256, negative = none)")
-		degradeAt = flag.Float64("degrade-threshold", 0, "admission-pressure fraction at which qualifying jobs degrade to analytic answers (0 = default 0.75, negative disables)")
+		maxRefs = flag.Int("max-refs", 0, "max references one simulate job may issue (0 = default 64Mi)")
+		maxJobs = flag.Int("max-sweep-jobs", 0, "max jobs in one sweep batch (0 = default 4096)")
+		maxBody = flag.Int64("max-body", 0, "max request body bytes (0 = default 8MiB)")
+		queue   = flag.Int("queue", 0, "admission backlog beyond the compute slots; excess requests get 429 (0 = default 256, negative = none)")
 
 		persistDir      = flag.String("persist-dir", "", "directory for the disk-backed memo tier; restarts start warm from it (empty disables persistence)")
 		persistMaxBytes = flag.Int64("persist-max-bytes", 0, "disk budget for the persist log; oldest segments are dropped beyond it (0 = default 256MiB, negative = unbounded)")
@@ -123,10 +122,9 @@ func main() {
 			MaxSweepJobs:  *maxJobs,
 			MaxBodyBytes:  *maxBody,
 		},
-		QueueDepth:       *queue,
-		DegradeThreshold: *degradeAt,
-		Persist:          store,
-		Tracer:           newTracer("vcached", *traceRing, *traceEvery),
+		QueueDepth: *queue,
+		Persist:    store,
+		Tracer:     newTracer("vcached", *traceRing, *traceEvery),
 	})
 
 	// Listen before forking the serve goroutine so -addr :0 logs the port

@@ -662,8 +662,7 @@ type StatsResponse struct {
 	Persist server.PersistBlock `json:"persist"`
 	Partial server.PartialBlock `json:"partial"`
 	// Admission is the coordinator's own valve, in front of the
-	// backends' per-node admission control; Degraded sums the backends'
-	// degraded-answer counters (the coordinator itself never degrades).
+	// backends' per-node admission control.
 	Admission server.AdmissionBlock `json:"admission"`
 	Requests  uint64                `json:"requests"`
 	Hedges    uint64                `json:"hedges"`
@@ -734,7 +733,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cluster.RingVersion = c.RingVersion()
 	v2 := c.aggregateBackendStats(r.Context())
 	resp.Memo, resp.Persist, resp.Partial = v2.Memo, v2.Persist, v2.Partial
-	resp.Admission.Degraded = v2.Admission.Degraded
 	if c.slots != nil {
 		resp.Admission.Capacity = cap(c.slots)
 		resp.Admission.Queued = int64(len(c.slots))

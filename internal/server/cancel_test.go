@@ -57,7 +57,7 @@ func TestReplayCancellationStopsWithinChunk(t *testing.T) {
 				Passes:  10, // ~10.5M references if allowed to finish
 			}.Normalize()
 			ctx := &flipCtx{Context: context.Background(), after: tc.after}
-			_, err := runSimulate(ctx, req, evalOpts{})
+			_, err := runSimulate(ctx, req, nil)
 			var pe *PartialError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want *PartialError", err)

@@ -130,8 +130,8 @@ func (r SimulateRequest) Validate(lim Limits) error {
 // persist records, ETags and ring routing of one epoch never meet
 // another's, and a record stored under another epoch's key is a miss.
 // Bump it with any change that alters the bytes some job is answered
-// with.
-const ResultEpoch = 1
+// with, and add a row to API.md's "Result epoch" table.
+const ResultEpoch = 2
 
 // epochSuffix ends every job key.
 var epochSuffix = "|epoch=" + strconv.Itoa(ResultEpoch)
@@ -161,9 +161,9 @@ type SimulateResponse struct {
 	// strided-sweep model (cross-checked against replay at admission)
 	// instead of per-reference simulation.
 	Analytic bool `json:"analytic,omitempty"`
-	// Degraded reports the analytic answer was served below the normal
-	// size cutoff because the server was shedding load; the stats remain
-	// byte-compatible with the simulated schema (same guard applies).
+	// Degraded is never set: which path answers a job no longer depends
+	// on server load. The field stays because perfbench/check.go reads
+	// it; it goes with the next change to the benchmark.
 	Degraded bool `json:"degraded,omitempty"`
 	// Victim reports the victim-buffer counters for kind "victim".
 	Victim *cache.VictimStats `json:"victim,omitempty"`

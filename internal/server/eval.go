@@ -18,24 +18,12 @@ import (
 // timed-out or cancelled job stops promptly without a per-access check.
 const evalChunk = 1 << 16
 
-// analyticMinRefs is the job size (passes × refs/pass) above which a
-// strided sweep on a closed-form-capable organisation is answered
-// analytically instead of simulated: below it, replay through the batch
-// API is already fast and keeps the admission guard's replay cost
-// proportionally trivial. Under shed pressure the server lowers the bar
-// (see evalOpts.degrade).
+// analyticMinRefs is the job size (passes × refs/pass) from which a
+// strided sweep on a closed-form-capable organisation is always
+// answered analytically instead of simulated. Below it a job still
+// qualifies when it is more than twice the admission guard's replay
+// (see trySimulateAnalytic).
 const analyticMinRefs = 1 << 22
-
-// evalOpts carries per-execution policy into runSimulate.
-type evalOpts struct {
-	// degrade allows qualifying strided/diagonal jobs below
-	// analyticMinRefs to be answered by the closed form, flagged
-	// Degraded, when the server is shedding load.
-	degrade bool
-	// shelf lends the job an idle simulator of its cache spec; nil
-	// gives the job a shelf of its own, so it builds a fresh one.
-	shelf *simShelf
-}
 
 // PartialError reports a simulation the context stopped mid-flight: the
 // job burned Refs references and produced no result. It unwraps to the
@@ -54,24 +42,22 @@ func (e *PartialError) Error() string {
 func (e *PartialError) Unwrap() error { return e.Err }
 
 // runSimulate executes one validated simulation job. Results are
-// deterministic: the same request always produces byte-identical stats
-// (the Random replacement policy is deterministically seeded, and the
-// analytic path is guard-verified against replay, so pressure-driven
-// degradation can flip only the degraded/analytic flags, never a
-// number).
-func runSimulate(ctx context.Context, req SimulateRequest, opt evalOpts) (*SimulateResponse, error) {
+// deterministic: the same request always produces byte-identical
+// answers (the Random replacement policy is deterministically seeded,
+// the analytic path is guard-verified against replay, and which path
+// answers depends only on the job). shelf lends the job an idle
+// simulator of its cache spec; nil gives the job a shelf of its own, so
+// it builds a fresh one.
+func runSimulate(ctx context.Context, req SimulateRequest, shelf *simShelf) (*SimulateResponse, error) {
 	req = req.Normalize()
 
 	// Strided sweeps over prime- or direct-mapped organisations have a
-	// closed form: answer huge ones (and, under pressure, any for which
-	// the closed form is cheaper than simulating) in O(passes)
-	// arithmetic, guarded by a replayed cross-check at admission.
+	// closed form: answer every one for which it is cheaper than
+	// simulating in O(passes) arithmetic, guarded by a replayed
+	// cross-check at admission.
 	_, aspan := obs.Start(ctx, "eval.analytic")
-	resp := trySimulateAnalytic(req, opt.degrade)
+	resp := trySimulateAnalytic(req)
 	aspan.SetAttr("hit", strconv.FormatBool(resp != nil))
-	if resp != nil {
-		aspan.SetAttr("degraded", strconv.FormatBool(resp.Degraded))
-	}
 	aspan.End()
 	if resp != nil {
 		return resp, nil
@@ -81,10 +67,10 @@ func runSimulate(ctx context.Context, req SimulateRequest, opt evalOpts) (*Simul
 	// fixed-size chunks: the trace is never materialised, and the replay
 	// checks the context every evalChunk references so a dead client
 	// stops burning CPU.
-	if opt.shelf == nil {
-		opt.shelf = new(simShelf)
+	if shelf == nil {
+		shelf = new(simShelf)
 	}
-	b, reused, err := opt.shelf.checkout(req.Cache)
+	b, reused, err := shelf.checkout(req.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +84,7 @@ func runSimulate(ctx context.Context, req SimulateRequest, opt evalOpts) (*Simul
 		vs := v.VictimStats()
 		victim = &vs
 	}
-	opt.shelf.checkin(b)
+	shelf.checkin(b)
 	if err != nil {
 		return nil, &PartialError{Refs: refsDone, Err: err}
 	}
@@ -143,11 +129,10 @@ func vectorStride(p trace.Pattern) (stride int64, ok bool) {
 // closed-form strided-sweep model. It returns nil when the job does not
 // qualify — wrong pattern or organisation, too small to bother, model
 // declined, or the admission cross-check failed (in which case the
-// caller simulates normally, which is always correct). With degrade
-// set, jobs below analyticMinRefs still qualify as long as the closed
-// form (whose cost is dominated by the guard replay) is meaningfully
-// cheaper than simulating; their responses carry Degraded.
-func trySimulateAnalytic(req SimulateRequest, degrade bool) *SimulateResponse {
+// caller simulates normally, which is always correct). Jobs below
+// analyticMinRefs qualify when the closed form, whose cost is the
+// guard replay's, is meaningfully cheaper than simulating.
+func trySimulateAnalytic(req SimulateRequest) *SimulateResponse {
 	p, spec := req.Pattern, req.Cache
 	stride, ok := vectorStride(p)
 	if !ok {
@@ -162,20 +147,12 @@ func trySimulateAnalytic(req SimulateRequest, degrade bool) *SimulateResponse {
 	default:
 		return nil
 	}
+	// Below analyticMinRefs the closed form is only worth it when the
+	// guard replay (at most 2 passes over min(n, 2·sets+1) references)
+	// costs well under the job itself.
 	refs := int64(p.N) * int64(req.Passes)
-	degraded := false
-	if refs < analyticMinRefs {
-		if !degrade {
-			return nil
-		}
-		// Degraded path: only worth it when the guard replay (at most 2
-		// passes over min(n, 2·sets+1) references) costs well under the
-		// job itself; otherwise answering analytically sheds no load.
-		guardRefs := int64(2 * (2*sets + 1))
-		if refs <= 2*guardRefs {
-			return nil
-		}
-		degraded = true
+	if guardRefs := int64(2 * (2*sets + 1)); refs < analyticMinRefs && refs <= 2*guardRefs {
+		return nil
 	}
 	stats, ok := cache.StridedSweepStats(spec, p.Start, stride, p.N, req.Passes, p.Stream)
 	if !ok {
@@ -191,7 +168,7 @@ func trySimulateAnalytic(req SimulateRequest, degrade bool) *SimulateResponse {
 		return nil
 	}
 	resp := simulateResponse(req, stats)
-	resp.Analytic, resp.Degraded = true, degraded
+	resp.Analytic = true
 	return resp
 }
 

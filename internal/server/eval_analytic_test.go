@@ -54,22 +54,24 @@ func vectorDrive(t *testing.T, req SimulateRequest) *SimulateResponse {
 // strided and diagonal jobs by batch replay, with AdderSteps from
 // analyticAdderSteps, against the vector front-end driving the same
 // sweep: the whole response must agree, the address unit's additions
-// included. Lengths fall below, at and above one evalChunk vector.
+// included. Lengths fall below, at and above one evalChunk vector; the
+// longer jobs run on prime c=17, whose closed-form floor (more than
+// 4·(2·sets+1) references) is above them, so they are still replayed.
 func TestServedMatchesVectorFrontEnd(t *testing.T) {
-	prime := cache.Spec{Kind: "prime", C: 13}
+	prime, prime17 := cache.Spec{Kind: "prime", C: 13}, cache.Spec{Kind: "prime", C: 17}
 	for _, tc := range []struct {
 		name string
 		req  SimulateRequest
 	}{
 		{"below chunk", SimulateRequest{Cache: prime,
 			Pattern: trace.Pattern{Name: "strided", Start: 9, Stride: 512, N: 1000, Stream: 1}, Passes: 3}},
-		{"at chunk", SimulateRequest{Cache: prime,
+		{"at chunk", SimulateRequest{Cache: prime17,
 			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: 8193, N: evalChunk, Stream: 1}, Passes: 2}},
-		{"above chunk", SimulateRequest{Cache: prime,
+		{"above chunk", SimulateRequest{Cache: prime17,
 			Pattern: trace.Pattern{Name: "strided", Start: 7, Stride: 129, N: 2*evalChunk + 17, Stream: 1}, Passes: 2}},
-		{"negative stride", SimulateRequest{Cache: prime,
+		{"negative stride", SimulateRequest{Cache: prime17,
 			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: -70001, N: evalChunk + 5, Stream: 1}, Passes: 2}},
-		{"diagonal", SimulateRequest{Cache: prime,
+		{"diagonal", SimulateRequest{Cache: prime17,
 			Pattern: trace.Pattern{Name: "diagonal", Start: 3, LD: 1 << 20, N: evalChunk + 100, Stream: 2}, Passes: 2}},
 		{"direct", SimulateRequest{Cache: cache.Spec{Kind: "direct", Lines: 8192},
 			Pattern: trace.Pattern{Name: "strided", Stride: 64, N: 4096, Stream: 1}, Passes: 2}},
@@ -78,7 +80,7 @@ func TestServedMatchesVectorFrontEnd(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req.Normalize()
-			served, err := runSimulate(context.Background(), req, evalOpts{})
+			served, err := runSimulate(context.Background(), req, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,12 +98,23 @@ func TestServedMatchesVectorFrontEnd(t *testing.T) {
 // the analytic path does once its gate and guard pass, and on the
 // vector front-end, and requires byte-identical responses (stats, refs,
 // adder steps) — the analytic path must be a pure optimisation,
-// invisible except for the flag.
+// invisible except for the flag. The chunk-boundary cases are
+// TestServedMatchesVectorFrontEnd's on prime c=13, where the server
+// answers them in closed form.
 func TestAnalyticMatchesVectorPath(t *testing.T) {
+	prime := cache.Spec{Kind: "prime", C: 13}
 	for _, tc := range []struct {
 		name string
 		req  SimulateRequest
 	}{
+		{"at chunk", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: 8193, N: evalChunk, Stream: 1}, Passes: 2}},
+		{"above chunk", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 7, Stride: 129, N: 2*evalChunk + 17, Stream: 1}, Passes: 2}},
+		{"negative stride", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "strided", Start: 1 << 40, Stride: -70001, N: evalChunk + 5, Stream: 1}, Passes: 2}},
+		{"diagonal chunked", SimulateRequest{Cache: prime,
+			Pattern: trace.Pattern{Name: "diagonal", Start: 3, LD: 1 << 20, N: evalChunk + 100, Stream: 2}, Passes: 2}},
 		{"prime coprime stride", SimulateRequest{
 			Cache:   cache.Spec{Kind: "prime", C: 13},
 			Pattern: trace.Pattern{Name: "strided", Start: 9, Stride: 512, N: 1 << 14, Stream: 1},
@@ -173,7 +186,7 @@ func TestAnalyticDoesNotApply(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if resp := trySimulateAnalytic(tc.req.Normalize(), false); resp != nil {
+			if resp := trySimulateAnalytic(tc.req.Normalize()); resp != nil {
 				t.Errorf("job unexpectedly qualified for the analytic path: %+v", resp)
 			}
 		})
@@ -188,7 +201,7 @@ func TestSimulateHugeSweepIsAnalytic(t *testing.T) {
 		Cache:   cache.Spec{Kind: "prime", C: 13},
 		Pattern: trace.Pattern{Name: "strided", Stride: 8191, N: 1 << 22, Stream: 1},
 		Passes:  8,
-	}, evalOpts{})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +226,7 @@ func TestAnalyticGateEndToEnd(t *testing.T) {
 		Pattern: trace.Pattern{Name: "strided", Start: 5, Stride: 512, N: 1 << 19, Stream: 1},
 		Passes:  8, // N × passes == analyticMinRefs exactly
 	}.Normalize()
-	fast := trySimulateAnalytic(req, false)
+	fast := trySimulateAnalytic(req)
 	if fast == nil {
 		t.Fatal("threshold-sized job did not qualify for the analytic path")
 	}

@@ -64,7 +64,7 @@ type inflightCall struct {
 // Concurrent identical jobs are single-flighted: the first becomes the
 // leader and computes, the rest share its result and count as memoized —
 // so a sweep repeating one config costs one compute slot, not many.
-func (s *Server) computeJob(ctx context.Context, job SweepJob, key string, degrade bool) (result any, memoized bool, err error) {
+func (s *Server) computeJob(ctx context.Context, job SweepJob, key string) (result any, memoized bool, err error) {
 	for {
 		_, mspan := obs.Start(ctx, "memo.lookup")
 		v, hit := s.memo.Get(key)
@@ -79,8 +79,8 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, key string, degra
 			}
 		}
 		if !s.memo.Enabled() {
-			v, err := s.compute(ctx, job, degrade)
-			if err == nil && !isDegraded(v) && s.persist != nil {
+			v, err := s.compute(ctx, job)
+			if err == nil && s.persist != nil {
 				s.persistStore(ctx, key, v)
 			}
 			return v, false, err
@@ -102,11 +102,8 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, key string, degra
 
 		if !joined {
 			// Leader: compute, publish to the memo, then release joiners.
-			// Degraded results stay out of the memo: their stats are
-			// guard-verified but the degraded flag describes this
-			// request's pressure, not a later request's.
-			c.val, c.err = s.compute(ctx, job, degrade)
-			if c.err == nil && !isDegraded(c.val) {
+			c.val, c.err = s.compute(ctx, job)
+			if c.err == nil {
 				s.memo.Put(key, c.val)
 				if s.persist != nil {
 					s.persistStore(ctx, key, c.val)
@@ -144,17 +141,11 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, key string, degra
 	}
 }
 
-// isDegraded reports whether a computed value carries the degraded flag.
-func isDegraded(v any) bool {
-	sr, ok := v.(*SimulateResponse)
-	return ok && sr.Degraded
-}
-
 // compute runs one job in a pool slot. Simulation panics (a config
 // that slipped past validation) surface as errors, not a crashed server.
 // A job stopped early by its context surfaces as a PartialError, whose
 // completed-reference count feeds the /v1/stats partial-work counters.
-func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, error) {
+func (s *Server) compute(ctx context.Context, job SweepJob) (any, error) {
 	v, err := s.pool.Submit(ctx, func(ctx context.Context) (out any, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -172,11 +163,7 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 		}
 		switch {
 		case job.Simulate != nil:
-			resp, err := runSimulate(ctx, *job.Simulate, evalOpts{degrade: degrade, shelf: &s.shelf})
-			if err == nil && resp.Degraded {
-				s.ctr.degraded.Inc()
-			}
-			return resp, err
+			return runSimulate(ctx, *job.Simulate, &s.shelf)
 		case job.Model != nil:
 			return runModel(*job.Model)
 		default:
@@ -202,7 +189,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveJob answers one simulate or model request: the body decodes into
-// req, which job wraps. Only a simulate job may be degraded.
+// req, which job wraps.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, job SweepJob) {
 	if err := s.decodeJSON(w, r, req); err != nil {
 		WriteError(w, err)
@@ -221,7 +208,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, job S
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	key := job.Key()
-	v, memoized, err := s.computeJob(ctx, job, key, job.Simulate != nil && s.degradeNow())
+	v, memoized, err := s.computeJob(ctx, job, key)
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -251,7 +238,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	degrade := s.degradeNow()
 
 	// Fan out: one goroutine per job, throughput bounded by the pool.
 	// Each job's slot is a single-element channel so the writer below
@@ -265,7 +251,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// the trace.
 			jctx, jspan := obs.Start(ctx, "sweep.job", obs.Int("idx", i))
 			res := SweepResult{Index: i}
-			v, memoized, err := s.computeJob(jctx, job, job.Key(), degrade)
+			v, memoized, err := s.computeJob(jctx, job, job.Key())
 			if err != nil {
 				ae := asAPIError(err)
 				res.Error = ae.Message
@@ -329,9 +315,8 @@ type StatsResponse struct {
 		Busy    int64 `json:"busy"`
 		Queued  int64 `json:"queued"`
 	} `json:"pool"`
-	// Admission reports the overload valve: queue occupancy, capacity,
-	// shed and degraded request counts, and the pressure fraction the
-	// degradation threshold is compared against.
+	// Admission reports the overload valve: capacity, queue occupancy,
+	// the shed request count, and occupancy as a fraction of capacity.
 	Admission AdmissionBlock `json:"admission"`
 	// Partial accounts work burned by jobs that were cancelled or timed
 	// out mid-simulation: how many jobs stopped early and how many

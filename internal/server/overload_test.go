@@ -1,13 +1,18 @@
 package server_test
 
 // Overload stress suite: deterministic fault injection drives the
-// admission valve, the shed path, and pressure-triggered degradation,
-// all through the typed client — and each test ends in a graceful
-// Shutdown so the suite doubles as a drain-safety check under -race.
+// admission valve and the shed path through the typed client, and a
+// saturated server is shown to answer exactly as an idle one does, on
+// the wire. Each test ends in a graceful Shutdown so the suite doubles
+// as a drain-safety check under -race.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -15,6 +20,7 @@ import (
 
 	"primecache/internal/cache"
 	"primecache/internal/client"
+	"primecache/internal/persist"
 	"primecache/internal/server"
 	"primecache/internal/trace"
 )
@@ -146,69 +152,75 @@ func TestOverloadBurstShedsAndDrains(t *testing.T) {
 	}
 }
 
-// TestDegradedAnalyticUnderPressure: when admission pressure crosses the
-// threshold, a qualifying strided job below the analytic cutoff is
-// answered by the closed form with degraded:true — and its stats are
-// byte-identical to what an unloaded server simulates for the same
-// request. Degraded results must also stay out of the memoizer.
-func TestDegradedAnalyticUnderPressure(t *testing.T) {
-	// capacity == 1, threshold 0.5: a request's own admission slot pushes
-	// pressure to 1.0, so every admitted request computes in degraded mode.
-	pressured := server.New(server.Options{Workers: 1, QueueDepth: -1, DegradeThreshold: 0.5})
-	defer pressured.Shutdown(context.Background())
-	pts := httptest.NewServer(pressured.Handler())
-	defer pts.Close()
+// TestPressureDoesNotChangeAnswer: a window job — a strided sweep on a
+// prime cache below the 2^22-reference cutoff but more than twice the
+// closed form's guard replay — is answered in closed form at every
+// load. A saturated server (one slot, no backlog: a request's own
+// admission slot makes pressure 1.0) and an idle one return the same
+// status, ETag and body, and the answer is memoized and persisted like
+// any other.
+func TestPressureDoesNotChangeAnswer(t *testing.T) {
+	store, err := persist.Open(persist.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturated := server.New(server.Options{Workers: 1, QueueDepth: -1, Persist: store})
+	defer saturated.Shutdown(context.Background())
+	sts := httptest.NewServer(saturated.Handler())
+	defer sts.Close()
 
-	calm := server.New(server.Options{Workers: 1})
-	defer calm.Shutdown(context.Background())
-	cts := httptest.NewServer(calm.Handler())
-	defer cts.Close()
+	idle := server.New(server.Options{Workers: 1})
+	defer idle.Shutdown(context.Background())
+	its := httptest.NewServer(idle.Handler())
+	defer its.Close()
 
 	// Prime C=13 (8191 sets), 2^17 refs × 2 passes = 262144 references:
-	// far below the 2^22 analytic cutoff, above the degraded-path floor
-	// of 2× the guard replay (2 passes × 16383 refs).
+	// far below the 2^22 cutoff, above the floor of 2× the guard replay
+	// (2 passes × 16383 refs).
 	req := server.SimulateRequest{
 		Cache:   cache.Spec{Kind: "prime", C: 13},
 		Pattern: trace.Pattern{Name: "strided", Start: 7, Stride: 129, N: 1 << 17, Stream: 1},
 		Passes:  2,
 	}
-	ctx := context.Background()
-	fast, err := client.New(pts.URL).Simulate(ctx, req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := client.New(cts.URL).Simulate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.Degraded || !fast.Analytic {
-		t.Fatalf("pressured response not flagged degraded+analytic: %+v", fast.SimulateResponse)
-	}
-	if slow.Degraded || slow.Analytic {
-		t.Fatalf("calm response unexpectedly analytic: %+v", slow.SimulateResponse)
-	}
-	// Same schema, same numbers: only the flags may differ.
-	f, sl := fast.SimulateResponse, slow.SimulateResponse
-	f.Analytic, f.Degraded = false, false
-	if f != sl {
-		t.Errorf("degraded stats diverge from simulation:\n degraded %+v\n simulated %+v", f, sl)
+	post := func(url string) (status int, etag string, data []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/simulate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if data, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("ETag"), data
 	}
 
-	// A degraded answer must not poison the memo: the identical request
-	// recomputes (Memoized=false) rather than replaying a result whose
-	// flag described an earlier pressure state.
-	again, err := client.New(pts.URL).Simulate(ctx, req)
-	if err != nil {
+	ss, se, sb := post(sts.URL)
+	is, ie, ib := post(its.URL)
+	if ss != is || se != ie || !bytes.Equal(sb, ib) {
+		t.Fatalf("saturated and idle answers differ:\n saturated %d %s %s\n idle      %d %s %s", ss, se, sb, is, ie, ib)
+	}
+	var got client.SimulateResult
+	if err := json.Unmarshal(sb, &got); err != nil {
 		t.Fatal(err)
 	}
-	if again.Memoized {
-		t.Error("degraded result was served from the memoizer")
+	if ss != http.StatusOK || !got.Analytic || got.Degraded || got.Memoized {
+		t.Fatalf("window job: status %d, analytic %v, degraded %v, memoized %v; want 200 analytic, not degraded, computed",
+			ss, got.Analytic, got.Degraded, got.Memoized)
 	}
-	stats, err := client.New(pts.URL).Stats(ctx)
-	if err != nil {
+
+	_, re, rb := post(sts.URL)
+	if err := json.Unmarshal(rb, &got); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Admission.Degraded < 2 {
-		t.Errorf("admission.degraded = %d, want >= 2", stats.Admission.Degraded)
+	if !got.Memoized || re != se {
+		t.Errorf("saturated repeat: memoized %v, ETag %s; want a memo hit under ETag %s", got.Memoized, re, se)
+	}
+	if !store.Has(server.SweepJob{Simulate: &req}.Key()) {
+		t.Error("window job left no persist record")
 	}
 }

@@ -16,8 +16,7 @@ import (
 
 // Options configures a Server. The zero value is usable: GOMAXPROCS
 // workers, a 4096-entry memoizer, a 30-second per-request compute
-// timeout, default Limits, a 256-slot admission backlog, and analytic
-// degradation at 75% admission pressure.
+// timeout, default Limits, and a 256-slot admission backlog.
 type Options struct {
 	// Workers is the compute-slot limit, the number of jobs that run
 	// at once; <= 0 selects GOMAXPROCS.
@@ -36,11 +35,6 @@ type Options struct {
 	// once, the rest are shed with 429. 0 selects 256; < 0 selects no
 	// backlog (capacity = the compute-slot count).
 	QueueDepth int
-	// DegradeThreshold is the admission-pressure fraction (queued /
-	// capacity) at or above which qualifying strided/diagonal jobs are
-	// answered by the closed form even below the normal size cutoff,
-	// flagged degraded. 0 selects 0.75; < 0 disables degradation.
-	DegradeThreshold float64
 	// Faults injects deterministic latency/error/queue-full faults into
 	// the admit and compute stages. Tests only; nil in production.
 	Faults FaultFunc
@@ -77,9 +71,6 @@ func (o Options) withDefaults() Options {
 		o.QueueDepth = 256
 	case o.QueueDepth < 0:
 		o.QueueDepth = 0
-	}
-	if o.DegradeThreshold == 0 {
-		o.DegradeThreshold = 0.75
 	}
 	return o
 }
@@ -301,14 +292,6 @@ func (s *Server) overloadedError() *APIError {
 	ae := Errf(CodeOverloaded, "admission queue full (%d of %d slots in use)", depth, s.admit.capacity())
 	ae.RetryAfterMs = retryAfterHint(depth, s.pool.size(), mean)
 	return ae
-}
-
-// degradeNow reports whether admission pressure has crossed the
-// degradation threshold, in which case qualifying jobs admitted now are
-// answered analytically below the normal cutoff.
-func (s *Server) degradeNow() bool {
-	t := s.opts.DegradeThreshold
-	return t > 0 && s.admit.pressure() >= t
 }
 
 // Draining reports whether Shutdown has begun: the server still answers

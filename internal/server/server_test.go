@@ -231,7 +231,7 @@ func serialSweep(t *testing.T, jobs []SweepJob) []SweepResult {
 		out[i] = SweepResult{Index: i}
 		switch {
 		case j.Simulate != nil:
-			r, err := runSimulate(context.Background(), *j.Simulate, evalOpts{})
+			r, err := runSimulate(context.Background(), *j.Simulate, nil)
 			if err != nil {
 				t.Fatalf("serial job %d: %v", i, err)
 			}
@@ -643,7 +643,7 @@ func TestComputeJobSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, m, err := s.computeJob(context.Background(), job, job.Key(), false)
+			_, m, err := s.computeJob(context.Background(), job, job.Key())
 			if err != nil {
 				t.Error(err)
 				return

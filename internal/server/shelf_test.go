@@ -44,19 +44,19 @@ func TestShelfReuseMatchesFresh(t *testing.T) {
 			job := SimulateRequest{Cache: spec, Passes: 8,
 				Pattern: trace.Pattern{Name: "strided", Start: 11, Stride: 3, N: 300, Stream: 2}}
 			var sh simShelf
-			if _, err := runSimulate(context.Background(), larger, evalOpts{shelf: &sh}); err != nil {
+			if _, err := runSimulate(context.Background(), larger, &sh); err != nil {
 				t.Fatal(err)
 			}
 			key := spec.String()
 			left := sh.sims[key]
-			got, err := runSimulate(context.Background(), job, evalOpts{shelf: &sh})
+			got, err := runSimulate(context.Background(), job, &sh)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sh.sims[key] != left {
 				t.Fatal("the job did not reuse the shelved simulator")
 			}
-			want, err := runSimulate(context.Background(), job, evalOpts{})
+			want, err := runSimulate(context.Background(), job, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

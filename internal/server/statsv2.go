@@ -46,7 +46,6 @@ type AdmissionBlock struct {
 	Capacity int     `json:"capacity"`
 	Queued   int64   `json:"queued"`
 	Shed     uint64  `json:"shed"`
-	Degraded uint64  `json:"degraded"`
 	Pressure float64 `json:"pressure"`
 }
 
@@ -122,7 +121,6 @@ func StatsBlocks(snap obs.Snapshot) StatsV2 {
 			Capacity: int(g["admission.capacity"]),
 			Queued:   g["admission.queued"],
 			Shed:     c["admission.shed"],
-			Degraded: c["admission.degraded"],
 		},
 		Partial: PartialBlock{
 			CancelledJobs: c["compute.cancelledJobs"],
@@ -136,7 +134,7 @@ func StatsBlocks(snap obs.Snapshot) StatsV2 {
 // from the first scrape. The persist ones are nil on a memory-only
 // server, whose persist paths never run.
 type serverCounters struct {
-	degraded, cancelledJobs, partialRefs, notModified *obs.Counter
+	cancelledJobs, partialRefs, notModified *obs.Counter
 
 	decodeErrors, storeErrors                 *obs.Counter
 	exportErrors, exportedKeys, exportedBytes *obs.Counter
@@ -177,7 +175,6 @@ var persistMetrics = []struct {
 // counters.
 func (s *Server) registerMetrics() {
 	m := s.metrics
-	s.ctr.degraded = m.Counter("admission.degraded")
 	s.ctr.cancelledJobs = m.Counter("compute.cancelledJobs")
 	s.ctr.partialRefs = m.Counter("compute.partialRefs")
 	s.ctr.notModified = m.Counter("etag.notModified")

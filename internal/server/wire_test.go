@@ -16,7 +16,8 @@ import (
 // TestWireGolden pins the exact response bytes of the compute
 // endpoints: status, ETag, Content-Type, the memoized header and the
 // body of a /v1/simulate miss, its memo hit and its 304, a victim-cache
-// job, a /v1/model answer, a /v1/sweep mixing both job kinds, and the
+// job, a window job (answered in closed form below the 2^22-reference
+// cutoff), a /v1/model answer, a /v1/sweep mixing both job kinds, and the
 // persist record one job leaves on disk. Any change to how a result is
 // serialised, hashed or framed shows up as a diff of
 // testdata/wire.golden; regenerate it with `make golden-update` only
@@ -37,6 +38,13 @@ func TestWireGolden(t *testing.T) {
 		Cache:   cache.Spec{Kind: "victim", Lines: 1024, VictimLines: 8},
 		Pattern: trace.Pattern{Name: "strided", Stride: 1024, N: 6, Stream: 1},
 		Passes:  4,
+	}
+	// 4096 refs × 17 passes = 69632, above prime c=13's closed-form
+	// floor of 4·(2·8191+1) = 65532 references.
+	window := SimulateRequest{
+		Cache:   cache.Spec{Kind: "prime", C: 13},
+		Pattern: trace.Pattern{Name: "strided", Stride: 3, N: 4096},
+		Passes:  17,
 	}
 	model := ModelRequest{Banks: 64, Tm: 64, B: 4096}
 	sweep := SweepRequest{Jobs: []SweepJob{
@@ -86,6 +94,7 @@ func TestWireGolden(t *testing.T) {
 	exchange("simulate memo hit", "/v1/simulate", prime, "")
 	exchange("simulate not modified", "/v1/simulate", prime, primeETag)
 	exchange("simulate victim", "/v1/simulate", victim, "")
+	exchange("simulate window job", "/v1/simulate", window, "")
 	exchange("model", "/v1/model", model, "")
 	exchange("sweep", "/v1/sweep", sweep, "")
 
