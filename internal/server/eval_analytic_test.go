@@ -169,6 +169,11 @@ func TestAnalyticDoesNotApply(t *testing.T) {
 			Pattern: trace.Pattern{Name: "strided", Stride: 512, N: 1 << 10, Stream: 1},
 			Passes:  2,
 		}},
+		{"at the guard floor", SimulateRequest{ // 4·(2·8191+1) = 65532 refs
+			Cache:   cache.Spec{Kind: "prime", C: 13},
+			Pattern: trace.Pattern{Name: "strided", Stride: 3, N: 16383, Stream: 1},
+			Passes:  4,
+		}},
 		{"assoc organisation", SimulateRequest{
 			Cache:   cache.Spec{Kind: "assoc", Lines: 8192, Ways: 4},
 			Pattern: trace.Pattern{Name: "strided", Stride: 512, N: 1 << 20, Stream: 1},
