@@ -38,7 +38,8 @@ type Result struct {
 	CrossInterference bool
 }
 
-// way is one line frame, 24 bytes: the flags share the last word.
+// way is one line frame, 24 bytes: the flags and the node share the
+// last word.
 type way struct {
 	line uint64
 	// stamp orders the frames of a set for replacement: the clock of
@@ -46,8 +47,9 @@ type way struct {
 	// victim is the valid frame with the least stamp.
 	stamp      uint64
 	valid      bool
-	prefetched bool // filled by a prefetch, not yet demand-touched
-	dirty      bool // written since fill (write-back mode)
+	prefetched bool  // filled by a prefetch, not yet demand-touched
+	dirty      bool  // written since fill (write-back mode)
+	node       int32 // the line's history node; unused without a history
 }
 
 // Cache is a set-associative cache simulator; see package documentation.
@@ -326,15 +328,17 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 			// The shadow sees every reference, hit or miss, so the 3C
 			// split stays consistent.
 			if h != nil {
-				h.observe(line)
+				h.touch(e.node)
 			}
 			continue
 		}
 
 		st.Misses++
 		res := Result{Set: set}
+		var node int32
 		if h != nil {
-			h.classify(&res, st, line, a.Stream, h.observe(line))
+			node = h.node(line)
+			h.classify(&res, st, node, a.Stream, h.touch(node))
 		}
 		victim := 0 // a one-way set's only frame; no policy to consult
 		if len(ways) > 1 {
@@ -353,13 +357,13 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 				st.MemoryWrites++
 			}
 			if h != nil {
-				h.evicted(e.line, a.Stream)
+				h.evicted(e.node, a.Stream)
 			}
 		}
 		if wide {
 			c.refill(set, victim, line)
 		}
-		*e = way{valid: true, line: line, stamp: clock, dirty: a.Write && wb}
+		*e = way{valid: true, line: line, stamp: clock, dirty: a.Write && wb, node: node}
 		res.Way = victim
 		if out != nil {
 			out[i] = res

@@ -202,17 +202,20 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 			c.prefetchWasted++
 		}
 		if c.hist != nil {
-			c.hist.evicted(ways[victim].line, stream)
+			c.hist.evicted(ways[victim].node, stream)
 		}
 	}
 	if c.wide {
 		c.refill(set, victim, line)
 	}
-	ways[victim] = way{valid: true, line: line, stamp: c.clock, prefetched: true}
-	// Keep the shadow and compulsory history consistent: a prefetched
-	// line has been brought in, so a later demand touch is not a
-	// compulsory miss of the memory system's making — but the 3C model
-	// classifies demand behaviour only, so the shadow is NOT updated
-	// here (prefetches are not program references).
+	// The line gets a history node, which a later demand hit touches,
+	// but neither its seen flag nor the shadow changes here: the 3C
+	// model classifies demand behaviour only, and prefetches are not
+	// program references.
+	var node int32
+	if c.hist != nil {
+		node = c.hist.node(line)
+	}
+	ways[victim] = way{valid: true, line: line, stamp: c.clock, prefetched: true, node: node}
 	return true
 }

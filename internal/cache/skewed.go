@@ -94,13 +94,12 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 			st.Reads++
 		}
 		line := a.Addr >> s.lineShift
-		kind := h.observe(line)
-
 		i0, i1 := s.hash(0, line), s.hash(1, line)
 		e0, e1 := &s.ways[0][i0], &s.ways[1][i1]
 		if e0.valid && e0.line == line {
 			e0.stamp = clock
 			st.Hits++
+			h.touch(e0.node)
 			if out != nil {
 				out[i] = Result{Hit: true, Set: i0, Way: 0}
 			}
@@ -109,6 +108,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 		if e1.valid && e1.line == line {
 			e1.stamp = clock
 			st.Hits++
+			h.touch(e1.node)
 			if out != nil {
 				out[i] = Result{Hit: true, Set: i1, Way: 1}
 			}
@@ -117,7 +117,8 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 
 		st.Misses++
 		res := Result{Set: i0}
-		h.classify(&res, st, line, a.Stream, kind)
+		node := h.node(line)
+		h.classify(&res, st, node, a.Stream, h.touch(node))
 		// Victim: an invalid frame if either candidate is free, else the
 		// least recently used of the two.
 		victim := e0
@@ -128,9 +129,9 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 			res.Evicted = true
 			res.EvictedLine = victim.line
 			st.Evictions++
-			h.evicted(victim.line, a.Stream)
+			h.evicted(victim.node, a.Stream)
 		}
-		*victim = way{valid: true, line: line, stamp: clock}
+		*victim = way{valid: true, line: line, stamp: clock, node: node}
 		if out != nil {
 			out[i] = res
 		}
