@@ -20,13 +20,13 @@ func NewVector(n int, baseWord uint64) *Vector {
 	return &Vector{BaseWord: baseWord, Data: make([]float64, n)}
 }
 
-func (v *Vector) load(mem Memory, stream, i int) float64 {
-	mem.Access(cache.Access{Addr: (v.BaseWord + uint64(i)) * 8, Stream: stream})
+func (v *Vector) load(e *emitter, stream, i int) float64 {
+	e.emit(cache.Access{Addr: (v.BaseWord + uint64(i)) * 8, Stream: stream})
 	return v.Data[i]
 }
 
-func (v *Vector) store(mem Memory, stream, i int, x float64) {
-	mem.Access(cache.Access{Addr: (v.BaseWord + uint64(i)) * 8, Write: true, Stream: stream})
+func (v *Vector) store(e *emitter, stream, i int, x float64) {
+	e.emit(cache.Access{Addr: (v.BaseWord + uint64(i)) * 8, Write: true, Stream: stream})
 	v.Data[i] = x
 }
 
@@ -58,6 +58,7 @@ func ConjugateGradient(a *Matrix, b, x *Vector, maxIter int, tol float64, mem Me
 		return CGResult{}, fmt.Errorf("workloads: CG needs positive maxIter and tol")
 	}
 	mm := sink(mem)
+	defer mm.done()
 
 	// Work vectors live after x in the address space so their streams
 	// are distinguishable.
@@ -71,17 +72,17 @@ func ConjugateGradient(a *Matrix, b, x *Vector, maxIter int, tol float64, mem Me
 		}
 		// Column-major SAXPY formulation: dst += A(:,j)·src[j].
 		for j := 0; j < n; j++ {
-			sj := src.load(mm, StreamB, j)
+			sj := src.load(&mm, StreamB, j)
 			for i := 0; i < n; i++ {
-				aij := a.load(mm, StreamA, i, j)
-				dst.store(mm, StreamC, i, dst.Data[i]+aij*sj)
+				aij := a.load(&mm, StreamA, i, j)
+				dst.store(&mm, StreamC, i, dst.Data[i]+aij*sj)
 			}
 		}
 	}
 	dot := func(u, v *Vector, su, sv int) float64 {
 		var s float64
 		for i := 0; i < n; i++ {
-			s += u.load(mm, su, i) * v.load(mm, sv, i)
+			s += u.load(&mm, su, i) * v.load(&mm, sv, i)
 		}
 		return s
 	}
@@ -89,9 +90,9 @@ func ConjugateGradient(a *Matrix, b, x *Vector, maxIter int, tol float64, mem Me
 	// r = b − A·x; p = r.
 	matvec(ap, x)
 	for i := 0; i < n; i++ {
-		ri := b.load(mm, StreamB, i) - ap.load(mm, StreamC, i)
-		r.store(mm, StreamA, i, ri)
-		p.store(mm, StreamB, i, ri)
+		ri := b.load(&mm, StreamB, i) - ap.load(&mm, StreamC, i)
+		r.store(&mm, StreamA, i, ri)
+		p.store(&mm, StreamB, i, ri)
 	}
 	rr := dot(r, r, StreamA, StreamA)
 
@@ -105,8 +106,8 @@ func ConjugateGradient(a *Matrix, b, x *Vector, maxIter int, tol float64, mem Me
 		}
 		alpha := rr / pap
 		for i := 0; i < n; i++ {
-			x.store(mm, StreamB, i, x.load(mm, StreamB, i)+alpha*p.load(mm, StreamB, i))
-			r.store(mm, StreamA, i, r.load(mm, StreamA, i)-alpha*ap.load(mm, StreamC, i))
+			x.store(&mm, StreamB, i, x.load(&mm, StreamB, i)+alpha*p.load(&mm, StreamB, i))
+			r.store(&mm, StreamA, i, r.load(&mm, StreamA, i)-alpha*ap.load(&mm, StreamC, i))
 		}
 		rrNew := dot(r, r, StreamA, StreamA)
 		if math.Sqrt(rrNew) < tol {
@@ -116,7 +117,7 @@ func ConjugateGradient(a *Matrix, b, x *Vector, maxIter int, tol float64, mem Me
 		}
 		beta := rrNew / rr
 		for i := 0; i < n; i++ {
-			p.store(mm, StreamB, i, r.load(mm, StreamA, i)+beta*p.load(mm, StreamB, i))
+			p.store(&mm, StreamB, i, r.load(&mm, StreamA, i)+beta*p.load(&mm, StreamB, i))
 		}
 		rr = rrNew
 	}

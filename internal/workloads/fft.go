@@ -22,18 +22,18 @@ type cview struct {
 	off    int
 	stride int
 	base   uint64
-	mem    Memory
+	mem    *emitter
 }
 
 func (v cview) get(t int) complex128 {
 	idx := v.off + t*v.stride
-	v.mem.Access(cache.Access{Addr: (v.base + uint64(idx)) * 8, Stream: StreamFFT})
+	v.mem.emit(cache.Access{Addr: (v.base + uint64(idx)) * 8, Stream: StreamFFT})
 	return v.data[idx]
 }
 
 func (v cview) set(t int, x complex128) {
 	idx := v.off + t*v.stride
-	v.mem.Access(cache.Access{Addr: (v.base + uint64(idx)) * 8, Write: true, Stream: StreamFFT})
+	v.mem.emit(cache.Access{Addr: (v.base + uint64(idx)) * 8, Write: true, Stream: StreamFFT})
 	v.data[idx] = x
 }
 
@@ -89,23 +89,24 @@ func FFT2D(x []complex128, b1, b2 int, baseWord uint64, mem Memory) error {
 		return fmt.Errorf("workloads: need power-of-two B1·B2 = N, got %d·%d ≠ %d", b1, b2, n)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	// Step 1: row FFTs, stride B2.
 	for r := 0; r < b2; r++ {
-		fftInPlace(cview{data: x, off: r, stride: b2, base: baseWord, mem: mm}, b1, false)
+		fftInPlace(cview{data: x, off: r, stride: b2, base: baseWord, mem: &mm}, b1, false)
 	}
 	// Step 2: twiddle factors ω_N^{r·k2}.
 	for r := 0; r < b2; r++ {
 		for k2 := 0; k2 < b1; k2++ {
 			idx := r + k2*b2
-			mm.Access(cache.Access{Addr: (baseWord + uint64(idx)) * 8, Stream: StreamFFT})
+			mm.emit(cache.Access{Addr: (baseWord + uint64(idx)) * 8, Stream: StreamFFT})
 			w := cmplx.Exp(complex(0, -2*math.Pi*float64(r)*float64(k2)/float64(n)))
 			x[idx] *= w
-			mm.Access(cache.Access{Addr: (baseWord + uint64(idx)) * 8, Write: true, Stream: StreamFFT})
+			mm.emit(cache.Access{Addr: (baseWord + uint64(idx)) * 8, Write: true, Stream: StreamFFT})
 		}
 	}
 	// Step 3: column FFTs, unit stride.
 	for k2 := 0; k2 < b1; k2++ {
-		fftInPlace(cview{data: x, off: k2 * b2, stride: 1, base: baseWord, mem: mm}, b2, false)
+		fftInPlace(cview{data: x, off: k2 * b2, stride: 1, base: baseWord, mem: &mm}, b2, false)
 	}
 	return nil
 }
@@ -140,7 +141,9 @@ func IFFTInPlace(x []complex128, baseWord uint64, mem Memory) error {
 	if n == 0 || n&(n-1) != 0 {
 		return fmt.Errorf("workloads: inverse FFT length must be a power of two, got %d", n)
 	}
-	fftInPlace(cview{data: x, off: 0, stride: 1, base: baseWord, mem: sink(mem)}, n, true)
+	mm := sink(mem)
+	defer mm.done()
+	fftInPlace(cview{data: x, off: 0, stride: 1, base: baseWord, mem: &mm}, n, true)
 	return nil
 }
 
@@ -150,7 +153,9 @@ func FFTForwardInPlace(x []complex128, baseWord uint64, mem Memory) error {
 	if n == 0 || n&(n-1) != 0 {
 		return fmt.Errorf("workloads: FFT length must be a power of two, got %d", n)
 	}
-	fftInPlace(cview{data: x, off: 0, stride: 1, base: baseWord, mem: sink(mem)}, n, false)
+	mm := sink(mem)
+	defer mm.done()
+	fftInPlace(cview{data: x, off: 0, stride: 1, base: baseWord, mem: &mm}, n, false)
 	return nil
 }
 
@@ -167,25 +172,20 @@ func Convolve(x, h []complex128, baseX, baseH uint64, mem Memory) ([]complex128,
 		return nil, fmt.Errorf("workloads: Convolve length must be a power of two, got %d", n)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	fx := make([]complex128, n)
 	fh := make([]complex128, n)
 	copy(fx, x)
 	copy(fh, h)
-	if err := FFTForwardInPlace(fx, baseX, mm); err != nil {
-		return nil, err
-	}
-	if err := FFTForwardInPlace(fh, baseH, mm); err != nil {
-		return nil, err
-	}
+	fftInPlace(cview{data: fx, stride: 1, base: baseX, mem: &mm}, n, false)
+	fftInPlace(cview{data: fh, stride: 1, base: baseH, mem: &mm}, n, false)
 	for i := 0; i < n; i++ {
-		mm.Access(cache.Access{Addr: (baseX + uint64(i)) * 8, Stream: StreamFFT})
-		mm.Access(cache.Access{Addr: (baseH + uint64(i)) * 8, Stream: StreamFFT})
+		mm.emit(cache.Access{Addr: (baseX + uint64(i)) * 8, Stream: StreamFFT})
+		mm.emit(cache.Access{Addr: (baseH + uint64(i)) * 8, Stream: StreamFFT})
 		fx[i] *= fh[i]
-		mm.Access(cache.Access{Addr: (baseX + uint64(i)) * 8, Write: true, Stream: StreamFFT})
+		mm.emit(cache.Access{Addr: (baseX + uint64(i)) * 8, Write: true, Stream: StreamFFT})
 	}
-	if err := IFFTInPlace(fx, baseX, mm); err != nil {
-		return nil, err
-	}
+	fftInPlace(cview{data: fx, stride: 1, base: baseX, mem: &mm}, n, true)
 	scale := complex(1/float64(n), 0)
 	for i := range fx {
 		fx[i] *= scale

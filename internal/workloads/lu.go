@@ -20,25 +20,26 @@ func BlockedLU(a *Matrix, blk int, mem Memory) error {
 		return fmt.Errorf("workloads: blocking factor must be positive, got %d", blk)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	n := a.Rows
 	for kk := 0; kk < n; kk += blk {
 		kmax := min(kk+blk, n)
 		// Factor the diagonal panel A[kk:n, kk:kmax] unblocked.
 		for k := kk; k < kmax; k++ {
-			piv := a.load(mm, StreamA, k, k)
+			piv := a.load(&mm, StreamA, k, k)
 			if math.Abs(piv) < 1e-300 {
 				return fmt.Errorf("workloads: zero pivot at %d (LU without pivoting)", k)
 			}
 			for i := k + 1; i < n; i++ {
-				lik := a.load(mm, StreamA, i, k) / piv
-				a.store(mm, StreamA, i, k, lik)
+				lik := a.load(&mm, StreamA, i, k) / piv
+				a.store(&mm, StreamA, i, k, lik)
 			}
 			for j := k + 1; j < kmax; j++ {
-				akj := a.load(mm, StreamA, k, j)
+				akj := a.load(&mm, StreamA, k, j)
 				for i := k + 1; i < n; i++ {
-					aij := a.load(mm, StreamA, i, j)
-					lik := a.load(mm, StreamA, i, k)
-					a.store(mm, StreamA, i, j, aij-lik*akj)
+					aij := a.load(&mm, StreamA, i, j)
+					lik := a.load(&mm, StreamA, i, k)
+					a.store(&mm, StreamA, i, j, aij-lik*akj)
 				}
 			}
 		}
@@ -46,22 +47,22 @@ func BlockedLU(a *Matrix, blk int, mem Memory) error {
 		// substitution with the unit-lower block L[kk:kmax, kk:kmax].
 		for j := kmax; j < n; j++ {
 			for k := kk; k < kmax; k++ {
-				akj := a.load(mm, StreamB, k, j)
+				akj := a.load(&mm, StreamB, k, j)
 				for i := k + 1; i < kmax; i++ {
-					aij := a.load(mm, StreamB, i, j)
-					lik := a.load(mm, StreamA, i, k)
-					a.store(mm, StreamB, i, j, aij-lik*akj)
+					aij := a.load(&mm, StreamB, i, j)
+					lik := a.load(&mm, StreamA, i, k)
+					a.store(&mm, StreamB, i, j, aij-lik*akj)
 				}
 			}
 		}
 		// Rank-blk update of the trailing sub-matrix.
 		for j := kmax; j < n; j++ {
 			for k := kk; k < kmax; k++ {
-				ukj := a.load(mm, StreamB, k, j)
+				ukj := a.load(&mm, StreamB, k, j)
 				for i := kmax; i < n; i++ {
-					aij := a.load(mm, StreamC, i, j)
-					lik := a.load(mm, StreamA, i, k)
-					a.store(mm, StreamC, i, j, aij-lik*ukj)
+					aij := a.load(&mm, StreamC, i, j)
+					lik := a.load(&mm, StreamA, i, k)
+					a.store(&mm, StreamC, i, j, aij-lik*ukj)
 				}
 			}
 		}

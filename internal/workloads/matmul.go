@@ -15,6 +15,7 @@ func BlockedMatMul(a, b, c *Matrix, blk int, mem Memory) error {
 		return fmt.Errorf("workloads: blocking factor must be positive, got %d", blk)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for jj := 0; jj < c.Cols; jj += blk {
 		jmax := min(jj+blk, c.Cols)
 		for kk := 0; kk < a.Cols; kk += blk {
@@ -25,14 +26,14 @@ func BlockedMatMul(a, b, c *Matrix, blk int, mem Memory) error {
 					for k := kk; k < kmax; k++ {
 						// B(k,j) stays in a scalar register across the
 						// column-segment sweep: one load.
-						bkj := b.load(mm, StreamB, k, j)
+						bkj := b.load(&mm, StreamB, k, j)
 						// c(ii:imax,j) += bkj · a(ii:imax,k): the
 						// SAXPY-style double stream (load A segment,
 						// load+store C segment).
 						for i := ii; i < imax; i++ {
-							aik := a.load(mm, StreamA, i, k)
-							cij := c.load(mm, StreamC, i, j)
-							c.store(mm, StreamC, i, j, cij+bkj*aik)
+							aik := a.load(&mm, StreamA, i, k)
+							cij := c.load(&mm, StreamC, i, j)
+							c.store(&mm, StreamC, i, j, cij+bkj*aik)
 						}
 					}
 				}
@@ -76,12 +77,13 @@ func GEMV(a *Matrix, x, y *Vector, mem Memory) error {
 			a.Rows, a.Cols, len(x.Data), len(y.Data))
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for j := 0; j < a.Cols; j++ {
-		xj := x.load(mm, StreamB, j)
+		xj := x.load(&mm, StreamB, j)
 		for i := 0; i < a.Rows; i++ {
-			aij := a.load(mm, StreamA, i, j)
-			yi := y.load(mm, StreamC, i)
-			y.store(mm, StreamC, i, yi+aij*xj)
+			aij := a.load(&mm, StreamA, i, j)
+			yi := y.load(&mm, StreamC, i)
+			y.store(&mm, StreamC, i, yi+aij*xj)
 		}
 	}
 	return nil

@@ -24,12 +24,13 @@ func SAXPY(alpha float64, x, y []float64, baseX, baseY uint64, strideX, strideY 
 		return fmt.Errorf("workloads: SAXPY buffers too short for n=%d", n)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for i := 0; i < n; i++ {
 		ix, iy := int64(i)*strideX, int64(i)*strideY
-		mm.Access(cache.Access{Addr: (baseX + uint64(ix)) * 8, Stream: StreamA})
-		mm.Access(cache.Access{Addr: (baseY + uint64(iy)) * 8, Stream: StreamB})
+		mm.emit(cache.Access{Addr: (baseX + uint64(ix)) * 8, Stream: StreamA})
+		mm.emit(cache.Access{Addr: (baseY + uint64(iy)) * 8, Stream: StreamB})
 		y[iy] = alpha*x[ix] + y[iy]
-		mm.Access(cache.Access{Addr: (baseY + uint64(iy)) * 8, Write: true, Stream: StreamB})
+		mm.emit(cache.Access{Addr: (baseY + uint64(iy)) * 8, Write: true, Stream: StreamB})
 	}
 	return nil
 }

@@ -12,10 +12,11 @@ func Transpose(a, b *Matrix, mem Memory) error {
 		return fmt.Errorf("workloads: transpose shape mismatch %dx%d → %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < a.Rows; i++ {
-			v := a.load(mm, StreamA, i, j)
-			b.store(mm, StreamB, j, i, v)
+			v := a.load(&mm, StreamA, i, j)
+			b.store(&mm, StreamB, j, i, v)
 		}
 	}
 	return nil
@@ -32,14 +33,15 @@ func BlockedTranspose(a, b *Matrix, blk int, mem Memory) error {
 		return fmt.Errorf("workloads: blocking factor must be positive, got %d", blk)
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for jj := 0; jj < a.Cols; jj += blk {
 		jmax := min(jj+blk, a.Cols)
 		for ii := 0; ii < a.Rows; ii += blk {
 			imax := min(ii+blk, a.Rows)
 			for j := jj; j < jmax; j++ {
 				for i := ii; i < imax; i++ {
-					v := a.load(mm, StreamA, i, j)
-					b.store(mm, StreamB, j, i, v)
+					v := a.load(&mm, StreamA, i, j)
+					b.store(&mm, StreamB, j, i, v)
 				}
 			}
 		}
@@ -60,14 +62,15 @@ func Stencil5(src, dst *Matrix, mem Memory) error {
 		return fmt.Errorf("workloads: stencil needs at least a 3x3 matrix")
 	}
 	mm := sink(mem)
+	defer mm.done()
 	for j := 1; j < src.Cols-1; j++ {
 		for i := 1; i < src.Rows-1; i++ {
-			c := src.load(mm, StreamA, i, j)
-			n := src.load(mm, StreamA, i-1, j)
-			s := src.load(mm, StreamA, i+1, j)
-			w := src.load(mm, StreamB, i, j-1)
-			e := src.load(mm, StreamC, i, j+1)
-			dst.store(mm, StreamC, i, j, (c+n+s+w+e)/5)
+			c := src.load(&mm, StreamA, i, j)
+			n := src.load(&mm, StreamA, i-1, j)
+			s := src.load(&mm, StreamA, i+1, j)
+			w := src.load(&mm, StreamB, i, j-1)
+			e := src.load(&mm, StreamC, i, j+1)
+			dst.store(&mm, StreamC, i, j, (c+n+s+w+e)/5)
 		}
 	}
 	return nil

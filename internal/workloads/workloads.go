@@ -9,25 +9,83 @@
 package workloads
 
 import (
+	"sync"
+
 	"primecache/internal/cache"
 )
 
-// Memory receives the kernels' memory references; *cache.Cache satisfies
-// it. A nil Memory runs the kernel without tracing.
+// Memory receives the kernels' memory references; every cache.Sim
+// satisfies it. A kernel hands a Memory that is also a cache.BatchSim
+// its references in batches, through AccessBatch, and hands over the
+// last batch before it returns; any other Memory gets each Access as
+// the kernel makes it. Either way the memory sees the same references
+// in the same order, and the kernels ignore the Results. A nil Memory
+// runs the kernel without tracing.
 type Memory interface {
 	Access(cache.Access) cache.Result
 }
 
-// nop drops references.
-type nop struct{}
+// emitBatch is how many references an emitter buffers for a
+// cache.BatchSim: as many as trace replay streams per batch.
+const emitBatch = 256
 
-func (nop) Access(cache.Access) cache.Result { return cache.Result{} }
+// emitBufs recycles the emitters' buffers. A buffer handed to
+// AccessBatch escapes through the interface, so a local array would be
+// a heap allocation on every kernel call.
+var emitBufs = sync.Pool{New: func() any { return new([emitBatch]cache.Access) }}
 
-func sink(m Memory) Memory {
-	if m == nil {
-		return nop{}
+// emitter is what a kernel emits its references into. Untraced, it
+// drops them without buffering, so an untraced kernel pays two nil
+// checks per reference and nothing else.
+type emitter struct {
+	batch cache.BatchSim
+	buf   *[emitBatch]cache.Access // batch's pending references; nil unless batching
+	n     int                      // references pending in buf
+	mem   Memory                   // memory that takes one Access at a time; nil when batching or untraced
+}
+
+// sink returns the emitter for mem. A kernel that makes one must call
+// its done before returning.
+func sink(mem Memory) emitter {
+	switch m := mem.(type) {
+	case nil:
+		return emitter{}
+	case cache.BatchSim:
+		return emitter{batch: m, buf: emitBufs.Get().(*[emitBatch]cache.Access)}
+	default:
+		return emitter{mem: m}
 	}
-	return m
+}
+
+// emit passes a on to the memory, or buffers it for the next batch.
+func (e *emitter) emit(a cache.Access) {
+	if e.buf == nil {
+		if e.mem != nil {
+			e.mem.Access(a)
+		}
+		return
+	}
+	e.buf[e.n] = a
+	if e.n++; e.n == emitBatch {
+		e.flush()
+	}
+}
+
+// flush hands the pending references to the batch memory.
+func (e *emitter) flush() {
+	e.batch.AccessBatch(e.buf[:e.n], nil)
+	e.n = 0
+}
+
+// done hands over the pending references and returns the buffer to the
+// pool.
+func (e *emitter) done() {
+	if e.buf == nil {
+		return
+	}
+	e.flush()
+	emitBufs.Put(e.buf)
+	*e = emitter{}
 }
 
 // Stream ids used by the kernels, so interference attribution can tell the
@@ -78,13 +136,13 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i+j*m.Rows] = v }
 func (m *Matrix) WordAddr(i, j int) uint64 { return m.BaseWord + uint64(i+j*m.LD) }
 
 // load emits a read of (i, j) and returns its value.
-func (m *Matrix) load(mem Memory, stream, i, j int) float64 {
-	mem.Access(cache.Access{Addr: m.WordAddr(i, j) * 8, Stream: stream})
+func (m *Matrix) load(e *emitter, stream, i, j int) float64 {
+	e.emit(cache.Access{Addr: m.WordAddr(i, j) * 8, Stream: stream})
 	return m.At(i, j)
 }
 
 // store emits a write of (i, j).
-func (m *Matrix) store(mem Memory, stream, i, j int, v float64) {
-	mem.Access(cache.Access{Addr: m.WordAddr(i, j) * 8, Write: true, Stream: stream})
+func (m *Matrix) store(e *emitter, stream, i, j int, v float64) {
+	e.emit(cache.Access{Addr: m.WordAddr(i, j) * 8, Write: true, Stream: stream})
 	m.Set(i, j, v)
 }
