@@ -83,7 +83,9 @@ func (e *emitter) done() {
 	if e.buf == nil {
 		return
 	}
-	e.flush()
+	if e.n > 0 {
+		e.flush()
+	}
 	emitBufs.Put(e.buf)
 	*e = emitter{}
 }

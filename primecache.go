@@ -230,7 +230,10 @@ func ChooseBlocking(g CacheGeometry, p, maxWords int) (BlockChoice, error) {
 type Matrix = workloads.Matrix
 
 // Memory receives kernel memory references; (*VectorCache).Cache()
-// satisfies it, as does any cache built by this package.
+// satisfies it, as does any cache built by this package. A kernel hands
+// a cache its references in batches through AccessBatch, the last
+// before it returns, and any other Memory one Access at a time; either
+// sees the same references in the same order.
 type Memory = workloads.Memory
 
 // NewMatrix allocates a rows×cols zero matrix based at word address
