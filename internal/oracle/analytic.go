@@ -8,33 +8,46 @@ import (
 	"primecache/internal/trace"
 )
 
-// VerifyStridedAnalytic replays passes passes of the strided sweep on a
-// freshly built spec cache and compares the accumulated statistics
-// against the closed form of cache.StridedSweepStats. It returns an
-// error when the model declines the sweep or when any counter differs;
-// nil means the closed form is exact for this instance. The vcached
-// server uses this as its admission guard before trusting the analytic
-// path for a large job, and the property suite runs it across stride
-// classes.
-func VerifyStridedAnalytic(spec cache.Spec, startWord uint64, strideWords int64, n, passes, stream int) error {
+// VerifyStridedAnalytic replays passes passes of the strided sweep on
+// sim, which must be an empty simulator of spec (fresh or just
+// flushed), and compares its statistics against the closed form of
+// cache.StridedSweepStats. The sweep streams through
+// trace.ReplayPattern, so no trace is materialised. It returns an error
+// when the model declines the sweep or when any counter differs; nil
+// means the closed form is exact for this instance. The vcached server
+// uses this as its admission guard before trusting the analytic path
+// for a job, on a simulator from its shelf, and the property suite runs
+// it across stride classes.
+func VerifyStridedAnalytic(sim cache.Sim, spec cache.Spec, startWord uint64, strideWords int64, n, passes, stream int) error {
+	if strideWords == 0 || n <= 0 || stream == 0 {
+		// A trace.Pattern reads each of these zeros as its default.
+		return fmt.Errorf("oracle: cannot replay a sweep of stride %d, n %d, stream %d", strideWords, n, stream)
+	}
 	want, ok := cache.StridedSweepStats(spec, startWord, strideWords, n, passes, stream)
 	if !ok {
 		return fmt.Errorf("oracle: analytic model rejected sweep spec=%s start=%d stride=%d n=%d passes=%d",
 			spec, startWord, strideWords, n, passes)
 	}
-	sim, err := spec.Build()
+	p := trace.Pattern{Name: "strided", Start: startWord, Stride: strideWords, N: n, Stream: stream}
+	got, err := trace.ReplayPattern(sim, p, passes)
 	if err != nil {
-		return fmt.Errorf("oracle: building %s: %v", spec, err)
+		return fmt.Errorf("oracle: replaying %s: %v", p, err)
 	}
-	tr := trace.Strided(startWord, strideWords, n, stream)
-	for p := 0; p < passes; p++ {
-		trace.Replay(sim, tr)
-	}
-	if got := sim.Stats(); got != want {
+	if got != want {
 		return fmt.Errorf("oracle: analytic sweep mismatch spec=%s start=%d stride=%d n=%d passes=%d stream=%d:\n  replay   %v\n  analytic %v",
 			spec, startWord, strideWords, n, passes, stream, got, want)
 	}
 	return nil
+}
+
+// verifyStridedAnalyticFresh is VerifyStridedAnalytic on a newly built
+// simulator of spec.
+func verifyStridedAnalyticFresh(spec cache.Spec, startWord uint64, strideWords int64, n, passes, stream int) error {
+	sim, err := spec.Build()
+	if err != nil {
+		return fmt.Errorf("oracle: building %s: %v", spec, err)
+	}
+	return VerifyStridedAnalytic(sim, spec, startWord, strideWords, n, passes, stream)
 }
 
 // stridedAnalyticProperty cross-checks the closed-form strided-sweep
@@ -89,7 +102,7 @@ func stridedAnalyticProperty() Property {
 				start += uint64(int64(n) * -s)
 			}
 			stream := 1 + rng.Intn(2)
-			return VerifyStridedAnalytic(spec, start, s, n, passes, stream)
+			return verifyStridedAnalyticFresh(spec, start, s, n, passes, stream)
 		},
 	}
 }

@@ -40,12 +40,12 @@ func TestStridedAnalyticDirected(t *testing.T) {
 		{direct, 3, 96, 130, 2},       // non-power-of-two stride, n > C
 	}
 	for _, c := range cases {
-		if err := VerifyStridedAnalytic(c.spec, c.start, c.stride, c.n, c.passes, 1); err != nil {
+		if err := verifyStridedAnalyticFresh(c.spec, c.start, c.stride, c.n, c.passes, 1); err != nil {
 			t.Error(err)
 		}
 	}
 	// StreamNone: conflict misses stay unattributed.
-	if err := VerifyStridedAnalytic(prime5, 0, 62, 20, 3, cache.StreamNone); err != nil {
+	if err := verifyStridedAnalyticFresh(prime5, 0, 62, 20, 3, cache.StreamNone); err != nil {
 		t.Error(err)
 	}
 }

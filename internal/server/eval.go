@@ -55,8 +55,11 @@ func runSimulate(ctx context.Context, req SimulateRequest, shelf *simShelf) (*Si
 	// closed form: answer every one for which it is cheaper than
 	// simulating in O(passes) arithmetic, guarded by a replayed
 	// cross-check at admission.
+	if shelf == nil {
+		shelf = new(simShelf)
+	}
 	_, aspan := obs.Start(ctx, "eval.analytic")
-	resp := trySimulateAnalytic(req)
+	resp := trySimulateAnalytic(req, shelf)
 	aspan.SetAttr("hit", strconv.FormatBool(resp != nil))
 	aspan.End()
 	if resp != nil {
@@ -67,9 +70,6 @@ func runSimulate(ctx context.Context, req SimulateRequest, shelf *simShelf) (*Si
 	// fixed-size chunks: the trace is never materialised, and the replay
 	// checks the context every evalChunk references so a dead client
 	// stops burning CPU.
-	if shelf == nil {
-		shelf = new(simShelf)
-	}
 	b, reused, err := shelf.checkout(req.Cache)
 	if err != nil {
 		return nil, err
@@ -131,8 +131,9 @@ func vectorStride(p trace.Pattern) (stride int64, ok bool) {
 // declined, or the admission cross-check failed (in which case the
 // caller simulates normally, which is always correct). Jobs below
 // analyticMinRefs qualify when the closed form, whose cost is the
-// guard replay's, is meaningfully cheaper than simulating.
-func trySimulateAnalytic(req SimulateRequest) *SimulateResponse {
+// guard replay's, is meaningfully cheaper than simulating. The guard
+// replays on a simulator lent by shelf.
+func trySimulateAnalytic(req SimulateRequest, shelf *simShelf) *SimulateResponse {
 	p, spec := req.Pattern, req.Cache
 	stride, ok := vectorStride(p)
 	if !ok {
@@ -164,7 +165,13 @@ func trySimulateAnalytic(req SimulateRequest) *SimulateResponse {
 	// form to match it exactly. A model bug makes the job fall back to
 	// full simulation rather than return wrong numbers.
 	nGuard, passesGuard := min(p.N, 2*sets+1), min(req.Passes, 2)
-	if oracle.VerifyStridedAnalytic(spec, p.Start, stride, nGuard, passesGuard, p.Stream) != nil {
+	b, _, err := shelf.checkout(spec)
+	if err != nil {
+		return nil
+	}
+	err = oracle.VerifyStridedAnalytic(b.sim, spec, p.Start, stride, nGuard, passesGuard, p.Stream)
+	shelf.checkin(b)
+	if err != nil {
 		return nil
 	}
 	resp := simulateResponse(req, stats)

@@ -191,7 +191,7 @@ func TestAnalyticDoesNotApply(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if resp := trySimulateAnalytic(tc.req.Normalize()); resp != nil {
+			if resp := trySimulateAnalytic(tc.req.Normalize(), &simShelf{}); resp != nil {
 				t.Errorf("job unexpectedly qualified for the analytic path: %+v", resp)
 			}
 		})
@@ -231,7 +231,7 @@ func TestAnalyticGateEndToEnd(t *testing.T) {
 		Pattern: trace.Pattern{Name: "strided", Start: 5, Stride: 512, N: 1 << 19, Stream: 1},
 		Passes:  8, // N × passes == analyticMinRefs exactly
 	}.Normalize()
-	fast := trySimulateAnalytic(req)
+	fast := trySimulateAnalytic(req, &simShelf{})
 	if fast == nil {
 		t.Fatal("threshold-sized job did not qualify for the analytic path")
 	}

@@ -73,16 +73,17 @@ var windowJobs = []struct {
 
 // BenchmarkClosedFormWindow times each window job as the server answers
 // it ("closed-form": runSimulate, whose guard replays a shrunken sweep
-// on a fresh simulator) against replaying the whole job on a shelved
-// simulator ("replay").
+// on the simulator the previous job left on the shelf) against
+// replaying the whole job on a shelved simulator ("replay").
 func BenchmarkClosedFormWindow(b *testing.B) {
 	ctx := context.Background()
 	for _, j := range windowJobs {
 		req := j.req.Normalize()
 		b.Run(j.name+"/closed-form", func(b *testing.B) {
+			shelf := &simShelf{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				resp, err := runSimulate(ctx, req, nil)
+				resp, err := runSimulate(ctx, req, shelf)
 				if err != nil {
 					b.Fatal(err)
 				}
