@@ -19,7 +19,8 @@ import (
 // a 16-bit word address plus a flag byte (bit 0 write, bits 1.. stream).
 // The seed corpus encodes the classic offenders from the table tests:
 // stride-32 power-of-two sweeps, repeated single-line hammering, and a
-// two-stream interleave, plus two wide sets.
+// two-stream interleave, two wide sets, and sweeps that overflow the
+// classification shadow.
 func FuzzSimVsReference(f *testing.F) {
 	pack := func(tr trace.Trace) []byte {
 		var out []byte
@@ -42,6 +43,16 @@ func FuzzSimVsReference(f *testing.F) {
 	// set; seed 4 draws a 128-line full cache, cycled over 160 lines.
 	f.Add(int64(8), uint8(2), pack(trace.Interleave(trace.Strided(0, 8, 40, 1), trace.StridedWrite(1, 8, 24, 2), trace.Strided(0, 8, 40, 3))))
 	f.Add(int64(4), uint8(3), pack(trace.Repeat(trace.Strided(0, 1, 160, 1), 2)))
+	// Repeated strided sweeps of more lines than the cache holds, so
+	// the classification shadow drops lines off its tail and takes them
+	// back: seed 2 draws a 31-line prime cache, seed 5 a 16-line direct
+	// cache (every line in one set), a 14-line 2-way prime-assoc cache
+	// and a 16-line skewed cache, seed 2 a 64-line victim cache.
+	f.Add(int64(2), uint8(0), pack(trace.Repeat(trace.Interleave(trace.Strided(0, 3, 40, 1), trace.StridedWrite(1, 3, 8, 2)), 3)))
+	f.Add(int64(5), uint8(1), pack(trace.Repeat(trace.Strided(0, 16, 20, 1), 3)))
+	f.Add(int64(5), uint8(4), pack(trace.Repeat(trace.Strided(0, 9, 18, 1), 4)))
+	f.Add(int64(5), uint8(5), pack(trace.Repeat(trace.Strided(0, 5, 24, 1), 4)))
+	f.Add(int64(2), uint8(6), pack(trace.Repeat(trace.Strided(0, 7, 80, 1), 3)))
 	f.Fuzz(func(t *testing.T, seed int64, kindSel uint8, data []byte) {
 		kinds := cache.SpecKinds()
 		kind := kinds[int(kindSel)%len(kinds)]
