@@ -216,6 +216,6 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 	if c.hist != nil {
 		node = c.hist.node(line)
 	}
-	ways[victim] = way{valid: true, line: line, stamp: c.clock, prefetched: true, node: node}
+	ways[victim].fill(line, c.clock, node, false, true)
 	return true
 }

@@ -131,7 +131,7 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 			st.Evictions++
 			h.evicted(victim.node, a.Stream)
 		}
-		*victim = way{valid: true, line: line, stamp: clock, node: node}
+		victim.fill(line, clock, node, false, false)
 		if out != nil {
 			out[i] = res
 		}

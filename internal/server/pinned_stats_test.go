@@ -134,40 +134,83 @@ func pinnedRun(sim cache.Sim) string {
 	return s
 }
 
-// pinnedRuns runs every pinned job on a fresh simulator.
-func pinnedRuns(t *testing.T) map[string]string {
-	t.Helper()
-	got := map[string]string{}
-	build := func(kind string) cache.Sim {
-		spec, ok := pinnedSpecs[kind]
-		if !ok {
-			t.Fatalf("no pinned spec for cache kind %s", kind)
-		}
-		sim, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim
-	}
+// pinnedJob is one job of a kernels workload round: a pattern replayed
+// for 4 passes, or a numerical kernel, on the cache of one kind.
+type pinnedJob struct {
+	name, kind string
+	run        func(sim cache.Sim) error
+}
+
+// pinnedJobs lists the round's jobs: every pattern on every
+// organisation, then the kernels on the prime- and direct-mapped caches.
+func pinnedJobs() []pinnedJob {
+	var jobs []pinnedJob
 	for _, p := range pinnedPatterns {
 		for _, kind := range cache.SpecKinds() {
-			sim := build(kind)
-			if _, err := trace.ReplayPattern(sim, p, 4); err != nil {
-				t.Fatal(err)
-			}
-			got["replay/"+p.Name+"/"+kind] = pinnedRun(sim)
+			jobs = append(jobs, pinnedJob{"replay/" + p.Name + "/" + kind, kind, func(sim cache.Sim) error {
+				_, err := trace.ReplayPattern(sim, p, 4)
+				return err
+			}})
 		}
 	}
 	for _, k := range []string{"matmul", "lu", "fft2d"} {
 		for _, kind := range []string{"prime", "direct"} {
-			sim := build(kind)
-			if err := pinnedKernel(k, sim); err != nil {
-				t.Fatal(err)
-			}
-			got["kernel/"+k+"/"+kind] = pinnedRun(sim)
+			jobs = append(jobs, pinnedJob{"kernel/" + k + "/" + kind, kind, func(sim cache.Sim) error {
+				return pinnedKernel(k, sim)
+			}})
 		}
 	}
+	return jobs
+}
+
+// buildPinned returns a new simulator of the pinned spec of kind.
+func buildPinned(tb testing.TB, kind string) cache.Sim {
+	tb.Helper()
+	spec, ok := pinnedSpecs[kind]
+	if !ok {
+		tb.Fatalf("no pinned spec for cache kind %s", kind)
+	}
+	sim, err := spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sim
+}
+
+// pinnedRuns runs every pinned job on a fresh simulator.
+func pinnedRuns(t *testing.T) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	for _, j := range pinnedJobs() {
+		sim := buildPinned(t, j.kind)
+		if err := j.run(sim); err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		got[j.name] = pinnedRun(sim)
+	}
 	return got
+}
+
+// BenchmarkPinnedJobs times each pinned job as a kernels workload round
+// runs it, on a flushed simulator, and reports its cost per reference.
+func BenchmarkPinnedJobs(b *testing.B) {
+	for _, j := range pinnedJobs() {
+		b.Run(j.name, func(b *testing.B) {
+			sim := buildPinned(b, j.kind)
+			if err := j.run(sim); err != nil {
+				b.Fatal(err)
+			}
+			refs := sim.Stats().Accesses
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Flush()
+				if err := j.run(sim); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*refs), "ns/ref")
+		})
+	}
 }
 
 // TestPinnedStats fails when any pinned statistic moves without a
