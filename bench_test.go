@@ -226,7 +226,9 @@ func BenchmarkDirectCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccessNoClassify ablates the three-C shadow directory.
+// BenchmarkCacheAccessNoClassify ablates the three-C classification
+// history: every reference is to a new line, so with the history each
+// one adds a node (compare BenchmarkPrimeCacheAccess).
 func BenchmarkCacheAccessNoClassify(b *testing.B) {
 	m, err := cache.NewPrimeMapper(13)
 	if err != nil {

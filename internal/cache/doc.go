@@ -10,8 +10,10 @@
 //
 // Beyond hit/miss counting the simulator classifies every miss with the
 // standard three-C model (compulsory / capacity / conflict) using an
-// embedded fully-associative LRU shadow directory of equal capacity, and
-// attributes every conflict miss to self-interference (the evicting access
-// belonged to the same vector stream) or cross-interference (a different
-// stream), the distinction at the heart of the paper's argument.
+// embedded fully-associative LRU shadow directory of equal capacity,
+// threaded through one history node per line that each frame points
+// at, and attributes every conflict miss to self-interference (the
+// evicting access belonged to the same vector stream) or
+// cross-interference (a different stream), the distinction at the heart
+// of the paper's argument.
 package cache

@@ -4,12 +4,11 @@ package cache
 // table, Fibonacci-hashed and linearly probed, with backward-shift
 // deletion, so it never holds tombstones and a lookup's probe run never
 // outgrows the live entries. The values are dense numbers the owner
-// hands out (a cache's frame numbers, the shadow's node numbers), and a
-// slot holds only the value, 4 bytes: the owner keeps a lines array,
-// the line of each value, and passes it to every call that compares or
-// rehashes lines. The wide-set Cache and the shadow directory both use
-// it, and history places the entries of its own table with the same
-// lineSlot.
+// hands out (a cache's frame numbers, the classification history's
+// node numbers), and a slot holds only the value, 4 bytes: the owner
+// keeps a lines array, the line of each value, and passes it to every
+// call that compares or rehashes lines. The wide-set Cache and the
+// history both use it; only the cache deletes.
 type lineIndex struct {
 	slots []int32 // value, or indexEmpty
 	mask  uint64  // len(slots)-1; the length is a power of two
@@ -27,10 +26,10 @@ const indexEmpty = -1
 func lineSlot(line, mask uint64) uint64 { return line * 0x9e3779b97f4a7c15 >> 32 & mask }
 
 // indexSlots returns a table length for at most n entries: the least
-// power of two at least 4n (and 64). A cache or shadow that evicts as
-// it fills slides a window of lines through its index; at a load of ½
-// some strides gather that window into probe runs dozens of slots long,
-// at ¼ none of the strides measured did.
+// power of two at least 4n (and 64). A cache that evicts as it fills
+// slides a window of lines through its index; at a load of ½ some
+// strides gather that window into probe runs dozens of slots long, at ¼
+// none of the strides measured did.
 func indexSlots(n int) int {
 	size := 64
 	for size < 4*n {
@@ -110,8 +109,8 @@ func (x *lineIndex) grow(lines []uint64) {
 type link struct{ prev, next int32 }
 
 // recency is an intrusive doubly linked list of nodes, most recent at
-// the head, whose links live in the owner's array. The shadow keeps one;
-// a wide-set Cache keeps one per set.
+// the head, whose links live in the owner's array. The classification
+// history keeps one for its shadow; a wide-set Cache keeps one per set.
 type recency struct {
 	head, tail int32 // -1 when the list is empty
 }

@@ -63,11 +63,11 @@ func (l Limits) withDefaults() Limits {
 // rejects a spec such as prime c=31 before anything is allocated. At
 // 2^20 frames the cache holds 24 MiB of frames (24 B each); sets of 16
 // or more ways add their line index, lines and recency links, at most
-// 32 MiB (a 2^22-slot table of 4 B, then 16 B per frame); the
-// classification shadow takes at most 32 MiB more (16 B per entry and
-// a table of the same size). That is 88 MiB at most; the per-line
-// history on top grows with the lines a job references, which
-// Limits.MaxRefsPerJob bounds, not with the cache.
+// 32 MiB (a 2^22-slot table of 4 B, then 16 B per frame). That is 56
+// MiB at most. The classification history on top, whose shadow is
+// threaded through it, takes a node of 24 B and 8 to 16 B of index per
+// line a job references, so Limits.MaxRefsPerJob bounds it, not the
+// cache.
 const MaxCacheLines = 1 << 20
 
 // SimulateRequest asks for one synthetic pattern to be run through one
