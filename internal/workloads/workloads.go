@@ -35,8 +35,8 @@ const emitBatch = 256
 var emitBufs = sync.Pool{New: func() any { return new([emitBatch]cache.Access) }}
 
 // emitter is what a kernel emits its references into. Untraced, it
-// drops them without buffering, so an untraced kernel pays two nil
-// checks per reference and nothing else.
+// drops them without buffering, so an untraced kernel pays a call and
+// two nil checks per reference and nothing else.
 type emitter struct {
 	batch cache.BatchSim
 	buf   *[emitBatch]cache.Access // batch's pending references; nil unless batching
