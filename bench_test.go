@@ -226,24 +226,6 @@ func BenchmarkDirectCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccessNoClassify ablates the three-C classification
-// history: every reference is to a new line, so with the history each
-// one adds a node (compare BenchmarkPrimeCacheAccess).
-func BenchmarkCacheAccessNoClassify(b *testing.B) {
-	m, err := cache.NewPrimeMapper(13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := cache.New(cache.Config{Mapper: m, Ways: 1, DisableClassify: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(cache.Access{Addr: uint64(i) * 4096, Stream: 1})
-	}
-}
-
 // BenchmarkMersenneReduce measures the folding reduction itself.
 func BenchmarkMersenneReduce(b *testing.B) {
 	m := mersenne.MustNew(13)

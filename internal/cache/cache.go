@@ -49,7 +49,7 @@ type way struct {
 	valid      bool
 	prefetched bool  // filled by a prefetch, not yet demand-touched
 	dirty      bool  // written since fill (write-back mode)
-	node       int32 // the line's history node; unused without a history
+	node       int32 // the line's history node
 }
 
 // fill makes w a valid frame holding line. It assigns field by field: a
@@ -64,15 +64,17 @@ func (w *way) fill(line, stamp uint64, node int32, dirty, prefetched bool) {
 // Cache is a set-associative cache simulator; see package documentation.
 // It is not safe for concurrent use.
 //
-// New backs every set with one frame array. A set narrower than
-// wideWays is searched by scanning its ways, and its victim is found by
-// scanning them again. A set at least wideWays wide (a fully-associative
-// cache is one set of every line) costs O(1) in its ways instead: New
-// also builds a line→frame index, a recency list threaded through the
-// frames of each set, and a fill count per set. Flush clears the frames,
-// the index, the lists and the classification history in place,
-// keeping every table's capacity, so a flushed cache reused for a job
-// no larger than an earlier one allocates nothing.
+// New backs every set with one frame array and builds the
+// classification history, whose line→node index is the cache's only
+// line table. A set narrower than wideWays is searched by scanning its
+// ways, and its victim is found by scanning them again. A set at least
+// wideWays wide (a fully-associative cache is one set of every line)
+// costs O(1) in its ways instead: the node of a line it holds names the
+// frame, so a lookup is the history's probe, and New also builds a
+// recency list threaded through the frames of each set and a fill count
+// per set. Flush clears the frames, the lists and the history in place,
+// keeping every table's capacity, so a flushed cache reused for a job no
+// larger than an earlier one allocates nothing.
 type Cache struct {
 	cfg       Config
 	lineShift uint
@@ -80,16 +82,14 @@ type Cache struct {
 	clock     uint64
 	rng       *rand.Rand // Random policy only
 
-	// Wide sets only. Frames are numbered across the whole array, so
-	// one index serves every set: a line is only ever filled into the
-	// set its address maps to.
+	// Wide sets only. Frames are numbered across the whole array, so a
+	// node's frame number places it in its set: a line is only ever
+	// filled into the set its address maps to.
 	wide  bool
-	index lineIndex // line → frame number
-	lines []uint64  // by frame: the line of a valid frame, for the index
 	links []link    // by frame, in its set's recency list
 	sets  []wideSet // by set
 
-	hist *history // 3C and interference history; nil when DisableClassify
+	hist *history // 3C and interference history, and the line index
 
 	stats          Stats
 	prefetchWasted uint64 // prefetched lines evicted before demand touch
@@ -98,19 +98,20 @@ type Cache struct {
 }
 
 // wideWays is the associativity from which a set is found through the
-// line index rather than by a scan of its ways. BenchmarkWideSets
-// measures both strategies at 4 to 512 ways on hit-heavy and miss-heavy
-// traces: at 8 ways the scan is still faster on hits, at 16 the two
-// break even on hits and the index is faster on misses, and beyond 16
-// the index wins both (EXPERIMENTS.md has the table).
+// history's line index rather than by a scan of its ways.
+// BenchmarkWideSets measures both strategies at 4 to 512 ways on
+// hit-heavy and miss-heavy traces: at 8 ways the scan is still faster
+// on hits though slower on misses, and from 16 the index wins both
+// (EXPERIMENTS.md has the table).
 const wideWays = 16
 
-// wideSet is the bookkeeping of one wide set. Only Flush invalidates a
-// frame, so the valid ways are always the first filled ones, and way
-// filled is the first invalid one. The recency list orders the valid
-// frames by stamp, most recent at the head: by use under LRU and
-// Random, by fill under FIFO. Stamps are unique clock values, so the
-// tail is the frame with the least stamp, the victim a scan would pick.
+// wideSet is the bookkeeping of one wide set besides its frames' names
+// in the history's nodes. Only Flush invalidates a frame, so the valid
+// ways are always the first filled ones, and way filled is the first
+// invalid one. The recency list orders the valid frames by stamp, most
+// recent at the head: by use under LRU and Random, by fill under FIFO.
+// Stamps are unique clock values, so the tail is the frame with the
+// least stamp, the victim a scan would pick.
 type wideSet struct {
 	filled int32
 	order  recency
@@ -128,15 +129,13 @@ func New(cfg Config) (*Cache, error) {
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		frames:    make([]way, cfg.Mapper.Sets()*cfg.Ways),
+		hist:      newHistory(cfg.Mapper.Sets() * cfg.Ways),
 	}
 	if cfg.Policy == Random {
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	if cfg.Ways >= wideWays {
 		c.makeWide()
-	}
-	if !cfg.DisableClassify {
-		c.hist = newHistory(cfg.Mapper.Sets() * cfg.Ways)
 	}
 	return c, nil
 }
@@ -167,8 +166,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and clears statistics, classification
-// history and a wide cache's index and recency lists, in place: nothing
-// is reallocated. The Random policy's source is re-seeded from
+// history and a wide cache's recency lists, in place: nothing is
+// reallocated. The Random policy's source is re-seeded from
 // Config.Seed, so a flushed cache replays exactly as a fresh one.
 func (c *Cache) Flush() {
 	clear(c.frames)
@@ -176,15 +175,12 @@ func (c *Cache) Flush() {
 		c.rng.Seed(c.cfg.Seed)
 	}
 	if c.wide {
-		c.index.reset()
 		c.resetSets()
 	}
 	c.clock = 0
 	c.stats = Stats{}
 	c.prefetchWasted = 0
-	if c.hist != nil {
-		c.hist.reset()
-	}
+	c.hist.reset()
 }
 
 // LineAddr returns the line address of a byte address under this cache's
@@ -215,21 +211,27 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // find returns the way of set that holds line, or -1: one probe of the
-// index for a wide set, a scan of its ways otherwise. AccessBatch,
-// Contains and the prefetcher's entry points all look lines up this way.
+// history's index for a wide set, a scan of its ways otherwise.
+// AccessBatch, Contains and the prefetcher's entry points all look
+// lines up this way.
 func (c *Cache) find(set int, line uint64) int {
 	if c.wide {
-		return c.findWide(set, line)
+		_, n := c.hist.index.find(line, c.hist.lines)
+		return c.wayOf(set, n)
 	}
 	return scanWays(c.set(set), line)
 }
 
-func (c *Cache) findWide(set int, line uint64) int {
-	_, f := c.index.find(line, c.lines)
-	if f == indexEmpty {
+// wayOf returns the way of wide set that holds node n's line, or -1
+// when n is indexEmpty or names no frame.
+func (c *Cache) wayOf(set int, n int32) int {
+	if n == indexEmpty {
 		return -1
 	}
-	return int(f) - set*c.cfg.Ways
+	if f := c.hist.facts[n].frame; f >= 0 {
+		return int(f) - set*c.cfg.Ways
+	}
+	return -1
 }
 
 func scanWays(ways []way, line uint64) int {
@@ -257,9 +259,11 @@ func (c *Cache) Access(a Access) Result {
 // virtual Mapper.Index call; then one loop, for every associativity and
 // policy, hits, misses, classifies and evicts, with the LRU clock in a
 // local written back once per batch. A narrow set is searched by a scan
-// of its ways; a wide one costs one index probe, and on a miss its
-// victim comes from the fill count or the recency list's tail, so a
-// reference to a fully-associative cache costs O(1) in its lines.
+// of its ways; a wide one costs one probe of the history's index, whose
+// slot adds the line's node on a miss, and its victim comes from the
+// fill count or the recency list's tail, so a reference to a
+// fully-associative cache costs O(1) in its lines. Either way a miss
+// probes the index once.
 func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	if len(accs) == 0 {
 		return
@@ -281,9 +285,13 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 			idx[i] = int(mod.Reduce(accs[i].Addr >> shift))
 		}
 	case ModuloMapper:
-		sets := uint64(m.sets)
-		for i := range accs {
-			idx[i] = int((accs[i].Addr >> shift) % sets)
+		if m.sets == 1 { // fully associative: set 0, with no division
+			clear(idx)
+		} else {
+			sets := uint64(m.sets)
+			for i := range accs {
+				idx[i] = int((accs[i].Addr >> shift) % sets)
+			}
 		}
 	default:
 		mp := c.cfg.Mapper
@@ -312,10 +320,14 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 		ways := c.frames[set*nw : set*nw+nw : set*nw+nw]
 		// find, with the scan inlined: find itself is too large for the
 		// compiler to inline, and a call per reference slows the
-		// narrow organisations by a fifth.
+		// narrow organisations by a fifth. A wide set keeps the probe's
+		// slot and node, so a miss adds the node without a second one.
+		var slot uint64
+		node := int32(indexEmpty)
 		j := -1
 		if wide {
-			j = c.findWide(set, line)
+			slot, node = h.index.find(line, h.lines)
+			j = c.wayOf(set, node)
 		} else {
 			j = scanWays(ways, line)
 		}
@@ -336,19 +348,19 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 			}
 			// The shadow sees every reference, hit or miss, so the 3C
 			// split stays consistent.
-			if h != nil {
-				h.touch(e.node)
-			}
+			h.touch(e.node)
 			continue
 		}
 
 		st.Misses++
 		res := Result{Set: set}
-		var node int32
-		if h != nil {
-			node = h.node(line)
-			h.classify(&res, st, node, a.Stream, h.touch(node))
+		if !wide {
+			slot, node = h.index.find(line, h.lines)
 		}
+		if node == indexEmpty {
+			node = h.add(slot, line)
+		}
+		h.classify(&res, st, node, a.Stream, h.touch(node))
 		victim := 0 // a one-way set's only frame; no policy to consult
 		if len(ways) > 1 {
 			victim = c.pickVictim(set, ways)
@@ -365,12 +377,10 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 				st.Writebacks++
 				st.MemoryWrites++
 			}
-			if h != nil {
-				h.evicted(e.node, a.Stream)
-			}
+			h.evicted(e.node, a.Stream)
 		}
 		if wide {
-			c.refill(set, victim, line)
+			c.refill(set, victim, node)
 		}
 		e.fill(line, clock, node, a.Write && wb, false)
 		res.Way = victim
@@ -413,30 +423,28 @@ func (c *Cache) pickVictim(set int, ways []way) int {
 	return oldest
 }
 
-// refill keeps a wide set's bookkeeping as way j of set takes line: the
-// evicted line, if any, leaves the index, line enters it, and the frame
-// moves to the front of the recency list.
-func (c *Cache) refill(set, j int, line uint64) {
+// refill keeps a wide set's bookkeeping as way j of set takes node n's
+// line, before the frame is filled: the evicted line's node, if any,
+// names no frame any more, n names this one, and the frame moves to the
+// front of the recency list.
+func (c *Cache) refill(set, j int, n int32) {
 	f := int32(set*c.cfg.Ways + j)
 	s := &c.sets[set]
-	if c.frames[f].valid {
-		slot, _ := c.index.find(c.lines[f], c.lines)
-		c.index.remove(slot, c.lines)
+	facts := c.hist.facts
+	if w := &c.frames[f]; w.valid {
+		facts[w.node].frame = -1
 		s.order.unlink(c.links, f)
 	} else {
 		s.filled++
 	}
-	c.lines[f] = line
-	c.index.insert(line, f)
+	facts[n].frame = f
 	s.order.pushFront(c.links, f)
 }
 
-// makeWide gives an empty cache the index, the recency lists and the
-// fill counts of wide sets.
+// makeWide gives an empty cache the recency lists and the fill counts
+// of wide sets.
 func (c *Cache) makeWide() {
 	c.wide = true
-	c.index.init(indexSlots(len(c.frames)))
-	c.lines = make([]uint64, len(c.frames))
 	c.links = make([]link, len(c.frames))
 	c.sets = make([]wideSet, c.cfg.Mapper.Sets())
 	c.resetSets()

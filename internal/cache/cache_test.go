@@ -356,24 +356,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDisableClassify(t *testing.T) {
-	m, _ := NewDirectMapper(4)
-	c := MustNew(Config{Mapper: m, Ways: 1, DisableClassify: true})
-	readWord(c, 0, 0)
-	readWord(c, 4, 0)
-	r := readWord(c, 0, 0)
-	if r.Hit {
-		t.Error("should miss")
-	}
-	if r.Kind != MissNone {
-		t.Errorf("classification disabled but kind = %v", r.Kind)
-	}
-	s := c.Stats()
-	if s.Misses != 3 || s.Compulsory+s.Capacity+s.Conflict != 0 {
-		t.Errorf("stats with classification off: %+v", s)
-	}
-}
-
 func TestMissKindString(t *testing.T) {
 	for k, want := range map[MissKind]string{MissNone: "hit", MissCompulsory: "compulsory", MissCapacity: "capacity", MissConflict: "conflict", MissKind(9): "misskind(9)"} {
 		if got := k.String(); got != want {

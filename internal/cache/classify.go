@@ -14,10 +14,13 @@ package cache
 // recency list threaded through the nodes in it, so entering and
 // leaving it moves links and a flag, never an entry of a table.
 //
-// The only hash table is index, from line to node, and it never deletes
-// an entry. A frame of the cache keeps its line's node, so a hit and an
-// eviction reach the node with no probe; only a miss probes, once,
-// finding or adding the missing line's node.
+// index, from line to node, is the only line table of a Cache, and it
+// never deletes an entry. A frame of the cache keeps its line's node,
+// so a hit and an eviction reach the node with no probe; only a miss
+// probes, once, finding or adding the missing line's node. A wide Cache
+// (wideWays) finds its lines through the same probe: the node of a line
+// it holds names the frame, and refill moves that name as lines come
+// and go.
 //
 // reset empties the nodes and the index in place, keeping their
 // capacity, so a cache that is flushed and reused regrows nothing: once
@@ -44,6 +47,7 @@ type history struct {
 // touched, and that line's first demand touch is still compulsory.
 type nodeFacts struct {
 	evictor int32 // stream that last evicted the line; StreamNone = none known
+	frame   int32 // the wide Cache frame holding the line; -1 = none, or not wide
 	flags   uint8
 }
 
@@ -56,7 +60,7 @@ const (
 // newHistory returns an empty history for a cache of lines lines.
 func newHistory(lines int) *history {
 	h := &history{capacity: lines}
-	h.index.init(indexSlots(0))
+	h.index.init(64)
 	h.shadow.reset()
 	return h
 }
@@ -77,16 +81,22 @@ func (h *history) reset() {
 // probe of the index a miss pays.
 func (h *history) node(line uint64) int32 {
 	i, n := h.index.find(line, h.lines)
-	if n != indexEmpty {
-		return n
+	if n == indexEmpty {
+		n = h.add(i, line)
 	}
+	return n
+}
+
+// add gives line, which index.find reported absent at slot i, a node
+// and returns it. The node arrays may move.
+func (h *history) add(i, line uint64) int32 {
 	if len(h.lines) == cap(h.lines) {
 		h.growNodes()
 	}
-	n = int32(len(h.lines))
+	n := int32(len(h.lines))
 	h.lines = append(h.lines, line)
 	h.links = append(h.links, link{})
-	h.facts = append(h.facts, nodeFacts{evictor: StreamNone})
+	h.facts = append(h.facts, nodeFacts{evictor: StreamNone, frame: -1})
 	// Entries are never deleted, so the probe runs are those of a table
 	// filled once; a load of up to ½ keeps them short.
 	if 2*len(h.lines) > len(h.index.slots) {

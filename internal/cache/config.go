@@ -54,15 +54,6 @@ type Config struct {
 	// (the paper's write-buffer assumption makes either free of stalls;
 	// the policies differ in bus traffic, which the stats expose).
 	WriteBack bool
-	// DisableClassify turns off the three-C classification history and
-	// its shadow directory, for pure hit-ratio sweeps. On the kernels
-	// benchmark's five patterns through a prime-mapped cache that saves
-	// about a third of the cost per reference (23 → 15 ns); where most
-	// references are to lines never seen before, each of which adds a
-	// history node, it saves more: BenchmarkCacheAccessNoClassify's
-	// sweep of new lines takes 34 ns per reference, against 193 with
-	// the history (BenchmarkPrimeCacheAccess).
-	DisableClassify bool
 }
 
 // DefaultLineBytes is the paper's fixed line size: one 8-byte double word.

@@ -1,14 +1,12 @@
 package cache
 
 // lineIndex maps line addresses to int32 values: an open-addressed
-// table, Fibonacci-hashed and linearly probed, with backward-shift
-// deletion, so it never holds tombstones and a lookup's probe run never
-// outgrows the live entries. The values are dense numbers the owner
-// hands out (a cache's frame numbers, the classification history's
-// node numbers), and a slot holds only the value, 4 bytes: the owner
-// keeps a lines array, the line of each value, and passes it to every
-// call that compares or rehashes lines. The wide-set Cache and the
-// history both use it; only the cache deletes.
+// table, Fibonacci-hashed and linearly probed, that never deletes an
+// entry, so it holds no tombstones and a lookup's probe run never
+// outgrows the entries. Its one owner is the classification history,
+// whose values are its node numbers, and a slot holds only the value, 4
+// bytes: the history keeps a lines array, the line of each node, and
+// passes it to every call that compares or rehashes lines.
 type lineIndex struct {
 	slots []int32 // value, or indexEmpty
 	mask  uint64  // len(slots)-1; the length is a power of two
@@ -24,19 +22,6 @@ const indexEmpty = -1
 // bits 32 and up of the product, where the power-of-two strides of
 // vector code, 512 among them, land a run of lines in distinct slots.
 func lineSlot(line, mask uint64) uint64 { return line * 0x9e3779b97f4a7c15 >> 32 & mask }
-
-// indexSlots returns a table length for at most n entries: the least
-// power of two at least 4n (and 64). A cache that evicts as it fills
-// slides a window of lines through its index; at a load of ½ some
-// strides gather that window into probe runs dozens of slots long, at ¼
-// none of the strides measured did.
-func indexSlots(n int) int {
-	size := 64
-	for size < 4*n {
-		size *= 2
-	}
-	return size
-}
 
 // init gives the index n empty slots, n a power of two.
 func (x *lineIndex) init(n int) {
@@ -75,22 +60,6 @@ func (x *lineIndex) insert(line uint64, v int32) {
 		i = (i + 1) & x.mask
 	}
 	x.slots[i] = v
-}
-
-// remove empties slot i, then walks the rest of its probe run, moving
-// back into the hole every entry whose home does not lie between the
-// hole and the entry, so no lookup meets an empty slot before its line.
-func (x *lineIndex) remove(i uint64, lines []uint64) {
-	slots, mask := x.slots, x.mask
-	for j := (i + 1) & mask; slots[j] != indexEmpty; j = (j + 1) & mask {
-		// The entry at j may fill the hole when the hole lies in
-		// [home, j), cyclically: its home is at least as far back from
-		// j as the hole is.
-		if v := slots[j]; (j-lineSlot(lines[v], mask))&mask >= (j-i)&mask {
-			slots[i], i = v, j
-		}
-	}
-	slots[i] = indexEmpty
 }
 
 // grow doubles the table and reinserts every entry.

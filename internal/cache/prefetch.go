@@ -201,20 +201,15 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 		if ways[victim].prefetched {
 			c.prefetchWasted++
 		}
-		if c.hist != nil {
-			c.hist.evicted(ways[victim].node, stream)
-		}
-	}
-	if c.wide {
-		c.refill(set, victim, line)
+		c.hist.evicted(ways[victim].node, stream)
 	}
 	// The line gets a history node, which a later demand hit touches,
 	// but neither its seen flag nor the shadow changes here: the 3C
 	// model classifies demand behaviour only, and prefetches are not
 	// program references.
-	var node int32
-	if c.hist != nil {
-		node = c.hist.node(line)
+	node := c.hist.node(line)
+	if c.wide {
+		c.refill(set, victim, node)
 	}
 	ways[victim].fill(line, c.clock, node, false, true)
 	return true

@@ -10,9 +10,9 @@ import (
 // reuseSpecs gives one small organisation of every Spec kind for the
 // reuse suite, sized so the traces below fill and evict them, and under
 // the names in extraNames two whose sets are wide enough to be found
-// through the line index, so Flush is shown to clear the index and the
-// recency lists in place, and a narrow and a wide Random-policy cache,
-// so Flush is shown to re-seed the policy's source.
+// through the history's nodes, so Flush is shown to clear the nodes'
+// frames and the recency lists in place, and a narrow and a wide
+// Random-policy cache, so Flush is shown to re-seed the policy's source.
 var reuseSpecs = map[string]cache.Spec{
 	"prime":       {Kind: "prime", C: 7},
 	"direct":      {Kind: "direct", Lines: 64},
@@ -29,6 +29,9 @@ var reuseSpecs = map[string]cache.Spec{
 
 // extraNames are the reuseSpecs beyond one per kind.
 var extraNames = []string{"assoc-wide", "full-wide", "random", "random-wide"}
+
+// wideNames are the reuseSpecs whose sets are wide.
+var wideNames = map[string]bool{"assoc-wide": true, "full-wide": true, "random-wide": true}
 
 // newReusePrefetch returns the PrefetchCache of the reuse suite: a
 // sequential prefetcher over a 16-line direct-mapped cache.
@@ -62,7 +65,9 @@ func replay(sim cache.Sim, accs []cache.Access) []cache.Result {
 // every Spec organisation and a PrefetchCache, running trace A, Flush,
 // then trace B gives the Results and Stats a fresh cache gives for B.
 // Trace A touches more lines than B, so the reused tables are larger
-// than the fresh ones and lay lines out differently.
+// than the fresh ones and lay lines out differently. A wide cache's
+// frames and history nodes must name each other after the Flush and
+// after B.
 func TestFlushReuseEquivalence(t *testing.T) {
 	g := oracle.NewGen(batchSeed + 4)
 	toAccs := func(n int) []cache.Access {
@@ -73,12 +78,23 @@ func TestFlushReuseEquivalence(t *testing.T) {
 		}
 		return accs
 	}
-	check := func(t *testing.T, mk func() cache.Sim, a, b []cache.Access) {
+	check := func(t *testing.T, mk func() cache.Sim, wide bool, a, b []cache.Access) {
 		t.Helper()
+		checkFrames := func(sim cache.Sim, when string) {
+			t.Helper()
+			if !wide {
+				return
+			}
+			if err := cache.CheckWideFrames(sim); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+		}
 		reused := mk()
 		replay(reused, a)
 		reused.Flush()
+		checkFrames(reused, "after A and Flush")
 		got := replay(reused, b)
+		checkFrames(reused, "after A, Flush and B")
 		fresh := mk()
 		want := replay(fresh, b)
 		for i := range want {
@@ -116,7 +132,7 @@ func TestFlushReuseEquivalence(t *testing.T) {
 				return sim
 			}
 			for trial := 0; trial < 10; trial++ {
-				check(t, mk, toAccs(4096), toAccs(512))
+				check(t, mk, wideNames[name], toAccs(4096), toAccs(512))
 			}
 		})
 	}
@@ -138,7 +154,7 @@ func TestFlushReuseEquivalence(t *testing.T) {
 		// Trace A leaves that history behind; B starts on line 1.
 		a := append(prologue, toAccs(2048)...)
 		b := append([]cache.Access{lineAccess(1)}, toAccs(512)...)
-		check(t, func() cache.Sim { return newReusePrefetch(t) }, a, b)
+		check(t, func() cache.Sim { return newReusePrefetch(t) }, false, a, b)
 	})
 }
 

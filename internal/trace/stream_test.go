@@ -132,19 +132,31 @@ func TestReplayPatternMatchesReplay(t *testing.T) {
 	}
 }
 
+// countingSim is a BatchSim that only counts its references. A cache's
+// classification history grows with the distinct lines it sees, which
+// is legitimate state, not replay overhead; replaying into a counter
+// isolates the replay path itself.
+type countingSim struct{ stats cache.Stats }
+
+func (s *countingSim) Access(cache.Access) cache.Result {
+	s.stats.Accesses++
+	return cache.Result{}
+}
+
+func (s *countingSim) AccessBatch(accs []cache.Access, _ []cache.Result) {
+	s.stats.Accesses += uint64(len(accs))
+}
+
+func (s *countingSim) Stats() cache.Stats { return s.stats }
+func (s *countingSim) Describe() string   { return "counter" }
+func (s *countingSim) Flush()             { s.stats = cache.Stats{} }
+
 // TestReplayPatternBoundedMemory is the point of the streaming path: a
 // 10^7-reference strided pass replays in O(1) memory. Materialising the
 // trace would allocate 240 MB (24 bytes × 10^7 refs); the streaming
 // replay must stay under one megabyte total.
 func TestReplayPatternBoundedMemory(t *testing.T) {
-	m, err := cache.NewDirectMapper(1 << 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Classification off: the shadow directory and compulsory map grow
-	// with the number of distinct lines, which is legitimate state, not
-	// replay overhead — this test isolates the replay path itself.
-	c := cache.MustNew(cache.Config{Mapper: m, Ways: 1, DisableClassify: true})
+	c := &countingSim{}
 	const n = 10_000_000
 	p := Pattern{Name: "strided", Stride: 3, N: n}
 
