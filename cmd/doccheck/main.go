@@ -10,9 +10,10 @@
 //     markdown files must resolve to an existing file, so renames and
 //     deletions cannot leave dangling references.
 //
-//  3. Doc comments — every exported top-level declaration in
-//     internal/cluster and internal/persist (the membership and
-//     migration surfaces API.md leans on) must carry a doc comment.
+//  3. Doc comments — every exported top-level declaration in the
+//     packages of commentDirs (the simulator, its traces, workloads and
+//     oracle, and the server, cluster and persist tiers API.md leans
+//     on) must carry a doc comment.
 //
 //     go run ./cmd/doccheck             # checks from the repo root
 //     go run ./cmd/doccheck -root /path
@@ -45,7 +46,10 @@ var docFiles = []string{
 
 // commentDirs are the packages whose exported identifiers must carry
 // doc comments.
-var commentDirs = []string{"internal/cluster", "internal/persist"}
+var commentDirs = []string{
+	"internal/cache", "internal/cluster", "internal/oracle", "internal/persist",
+	"internal/server", "internal/trace", "internal/workloads",
+}
 
 func main() {
 	root := flag.String("root", ".", "repository root to check")

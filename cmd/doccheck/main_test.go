@@ -110,8 +110,10 @@ type helper struct{}
 
 func (helper) Close() error { return nil }
 `)
-	if err := os.MkdirAll(filepath.Join(root, "internal/persist"), 0o755); err != nil {
-		t.Fatal(err)
+	for _, dir := range commentDirs {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var problems []string

@@ -90,6 +90,7 @@ type APIError struct {
 	RetryAfterMs int64     `json:"retry_after_ms,omitempty"`
 }
 
+// Error renders the envelope as "code: message".
 func (e *APIError) Error() string { return string(e.Code) + ": " + e.Message }
 
 // Errf builds an APIError with a formatted message.

@@ -35,10 +35,12 @@ type PartialError struct {
 	Err  error
 }
 
+// Error reports how many references ran and why the job stopped.
 func (e *PartialError) Error() string {
 	return fmt.Sprintf("server: job stopped after %d references: %v", e.Refs, e.Err)
 }
 
+// Unwrap returns the context's error, so errors.Is sees through it.
 func (e *PartialError) Unwrap() error { return e.Err }
 
 // runSimulate executes one validated simulation job. Results are
