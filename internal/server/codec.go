@@ -62,10 +62,11 @@ func (l Limits) withDefaults() Limits {
 // largest prime-mapped cache below it (c = 19, 2^19 − 1 lines), and
 // rejects a spec such as prime c=31 before anything is allocated. At
 // 2^20 frames the cache holds 24 MiB of frames (24 B each); sets of 16
-// or more ways add their line index, lines and recency links, at most
-// 32 MiB (a 2^22-slot table of 4 B, then 16 B per frame). That is 56
-// MiB at most. The classification history on top, whose shadow is
-// threaded through it, takes a node of 24 B and 8 to 16 B of index per
+// or more ways add their recency links, 8 B per frame, and 12 B per set
+// of bookkeeping, under 9 MiB. That is 33 MiB at most. Wide sets keep
+// no line table of their own: they find their frames through the
+// classification history, which takes a node of 28 B (its line,
+// shadow links, evictor, frame and flags) and 8 to 16 B of index per
 // line a job references, so Limits.MaxRefsPerJob bounds it, not the
 // cache.
 const MaxCacheLines = 1 << 20
