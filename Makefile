@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzModulusVsBigInt -fuzztime=$(FUZZTIME) ./internal/mersenne/
 	$(GO) test -run=NONE -fuzz=FuzzCacheDifferential -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run=NONE -fuzz=FuzzSimVsReference -fuzztime=$(FUZZTIME) ./internal/cache/
+	$(GO) test -run=NONE -fuzz=FuzzRepeatPass -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run=NONE -fuzz=FuzzBankModelVsBruteForce -fuzztime=$(FUZZTIME) ./internal/membank/
 
 # Observability suite: the tracing/exposition unit layer, both tiers'

@@ -19,14 +19,38 @@ package cache
 // Results however it is split into batches (TestAccessBatchEquivalence).
 // The differential-oracle campaign checks the one implementation
 // against slow, obviously correct reference models.
+//
+// RepeatPass is the batch path's other shortcut: a replay that runs the
+// same references pass after pass (trace.ReplayPatternContext) hands
+// it the stats delta of the pass it just ran. When that pass evicted
+// nothing, every line it touched is still resident, so each later pass
+// hits on every reference. Such a pass changes no frame, no relative
+// recency within a set, no wide set's list, no order of the history's
+// shadow (each line is touched again before the shadow could drop it,
+// since the lines all fit), no seen flag and no evictor, and a Random
+// cache draws from its source only on a miss. What remains is the
+// hit path's counters and the clock, which RepeatPass adds in O(1).
+// TestRepeatPassMatchesUnrolled and FuzzRepeatPass check that a folded
+// replay leaves the same Stats and answers later references as an
+// unrolled one does.
 
 // BatchSim is implemented by organisations with a devirtualized batch
 // fast path. AccessBatch processes accs in order, exactly as len(accs)
 // sequential Access calls would; when out is non-nil it must have at
 // least len(accs) elements and out[i] receives the Result of accs[i].
+//
+// RepeatPass accounts for times more runs of the pass just completed
+// without running them, and reports whether it did. pass is the stats
+// delta of that pass, the simulator's most recent references, and each
+// run it stands for presents the same references in the same order.
+// An organisation accepts only when the outcome is exactly that of
+// running them: Cache, SkewedCache and VictimCache when the pass
+// evicted nothing; PrefetchCache never, since its hits issue
+// prefetches. A simulator that refuses is unchanged.
 type BatchSim interface {
 	Sim
 	AccessBatch(accs []Access, out []Result)
+	RepeatPass(pass Stats, times uint64) bool
 }
 
 var (
@@ -55,4 +79,16 @@ func AccessBatch(s Sim, accs []Access, out []Result) {
 	for i, a := range accs {
 		out[i] = s.Access(a)
 	}
+}
+
+// repeatHits adds to st times runs of pass as all hits: the counters
+// every organisation's hit path adds, without its MemoryWrites. It
+// returns the references added, by which the caller advances its clock.
+func (st *Stats) repeatHits(pass Stats, times uint64) uint64 {
+	n := pass.Accesses * times
+	st.Accesses += n
+	st.Hits += n
+	st.Reads += pass.Reads * times
+	st.Writes += pass.Writes * times
+	return n
 }

@@ -391,6 +391,23 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	c.clock = clock
 }
 
+// RepeatPass implements BatchSim: once a pass evicts nothing, each run
+// of it hits on every reference, and a store hit reaches memory only
+// under write-through (a write-back line the pass stored to is dirty
+// already). Stamps are not rewritten: the pass restamped its lines
+// after every older one, in the order a rerun would, so the advanced
+// clock keeps every comparison of stamps the same.
+func (c *Cache) RepeatPass(pass Stats, times uint64) bool {
+	if pass.Evictions != 0 {
+		return false
+	}
+	c.clock += c.stats.repeatHits(pass, times)
+	if !c.cfg.WriteBack {
+		c.stats.MemoryWrites += pass.Writes * times
+	}
+	return true
+}
+
 // pickVictim returns the way of set to fill: the first invalid way,
 // else the policy's choice among the valid ones. A wide set reads both
 // from its bookkeeping; a narrow one scans for them.

@@ -166,6 +166,11 @@ func (p *PrefetchCache) AccessBatch(accs []Access, out []Result) {
 	}
 }
 
+// RepeatPass implements BatchSim and always refuses: a demand hit can
+// issue prefetches, whose fills can evict lines the next pass needs,
+// and the wrapped cache's Stats do not count those evictions.
+func (p *PrefetchCache) RepeatPass(Stats, uint64) bool { return false }
+
 func (p *PrefetchCache) install(line uint64, stream int) {
 	if p.c.installLine(line, stream) {
 		p.stats.Issued++

@@ -70,14 +70,7 @@ func replay(sim cache.Sim, accs []cache.Access) []cache.Result {
 // after B.
 func TestFlushReuseEquivalence(t *testing.T) {
 	g := oracle.NewGen(batchSeed + 4)
-	toAccs := func(n int) []cache.Access {
-		tr := g.Trace(n)
-		accs := make([]cache.Access, len(tr))
-		for i, r := range tr {
-			accs[i] = cache.Access{Addr: r.Addr, Write: r.Write, Stream: r.Stream}
-		}
-		return accs
-	}
+	toAccs := func(n int) []cache.Access { return genAccesses(g, n) }
 	check := func(t *testing.T, mk func() cache.Sim, wide bool, a, b []cache.Access) {
 		t.Helper()
 		checkFrames := func(sim cache.Sim, when string) {

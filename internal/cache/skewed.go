@@ -139,6 +139,17 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 	s.clock = clock
 }
 
+// RepeatPass implements BatchSim as Cache's does: a pass that evicted
+// nothing is rerun as all hits. The skewed cache counts no memory
+// writes.
+func (s *SkewedCache) RepeatPass(pass Stats, times uint64) bool {
+	if pass.Evictions != 0 {
+		return false
+	}
+	s.clock += s.stats.repeatHits(pass, times)
+	return true
+}
+
 // Describe returns a short human-readable description.
 func (s *SkewedCache) Describe() string { return describeSkewed(len(s.ways[0])) }
 

@@ -119,6 +119,18 @@ func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
 	}
 }
 
+// RepeatPass implements BatchSim: pass is the main array's delta, as
+// Stats reports it. A pass the main array ran without evicting is
+// rerun as all main-array hits, which never reach the buffer, so only
+// the buffer's clock moves.
+func (v *VictimCache) RepeatPass(pass Stats, times uint64) bool {
+	if !v.main.RepeatPass(pass, times) {
+		return false
+	}
+	v.clock += pass.Accesses * times
+	return true
+}
+
 // take removes line from the buffer and reports whether it was there.
 func (v *VictimCache) take(line uint64) bool {
 	for i := range v.buf {

@@ -367,10 +367,68 @@ func bankConflictProperty() Property {
 	}
 }
 
+// replayPassesProperty checks the replay fold (cache.BatchSim's
+// RepeatPass) against the reference simulators, which are not
+// BatchSims and so run every pass: a multi-pass trace.ReplayPattern on
+// each organisation's fast simulator gives the statistics, victim
+// buffer counters and later per-access outcomes of the same replay on
+// its reference. Half the patterns are short sweeps, which the small
+// generated caches often hold whole, so that the fast side folds.
+func replayPassesProperty() Property {
+	return Property{
+		Name:      "replay-passes-match-reference",
+		Statement: "a multi-pass pattern replay, which folds the passes after one that evicts nothing, equals the same replay on the reference simulator of every organisation",
+		Check: func(rng *rand.Rand) error {
+			g := &Gen{rng: rng}
+			for _, kind := range cache.SpecKinds() {
+				spec := g.SpecOfKind(kind)
+				p := g.Pattern()
+				if rng.Intn(2) == 0 {
+					p = trace.Pattern{Name: "strided", Start: uint64(64 + rng.Intn(1<<12)),
+						Stride: int64(1 + rng.Intn(8)), N: 1 + rng.Intn(48), Stream: 1 + rng.Intn(2)}
+				}
+				passes := 2 + rng.Intn(4)
+				fast, err := spec.Build()
+				if err != nil {
+					return err
+				}
+				ref, err := NewRefSim(spec)
+				if err != nil {
+					return err
+				}
+				got, err := trace.ReplayPattern(fast, p, passes)
+				if err != nil {
+					return err
+				}
+				want, err := trace.ReplayPattern(ref, p, passes)
+				if err != nil {
+					return err
+				}
+				if got != want {
+					return fmt.Errorf("spec %s, %s × %d passes:\n  fast %v\n  ref  %v", spec, p, passes, got, want)
+				}
+				if fv, ok := fast.(victimStatser); ok && fv.VictimStats() != ref.(victimStatser).VictimStats() {
+					return fmt.Errorf("spec %s, %s × %d passes: victim stats %+v, ref %+v",
+						spec, p, passes, fv.VictimStats(), ref.(victimStatser).VictimStats())
+				}
+				for i, r := range g.Trace(128) {
+					a := cache.Access{Addr: r.Addr, Write: r.Write, Stream: r.Stream}
+					if fr, rr := fast.Access(a), ref.Access(a); !sameResult(fr, rr) {
+						return fmt.Errorf("spec %s, %s × %d passes: later access %d (%+v): fast %+v, ref %+v",
+							spec, p, passes, i, a, fr, rr)
+					}
+				}
+			}
+			return nil
+		},
+	}
+}
+
 // Properties returns the full default suite: the paper's mapper theorems
 // instantiated for the production prime mapper at c=5 and c=13, the EAC
 // adder cross-check, the direct-mapped power-of-two stride law, the
-// memory-bank analogue, and the analytic strided-sweep cross-check.
+// memory-bank analogue, the analytic strided-sweep cross-check, and the
+// multi-pass replay cross-check.
 func Properties() []Property {
 	var props []Property
 	for _, c := range []uint{5, 13} {
@@ -381,6 +439,6 @@ func Properties() []Property {
 		props = append(props, ps...)
 	}
 	props = append(props, adderProperty(), directPow2Property(), bankConflictProperty(),
-		stridedAnalyticProperty())
+		stridedAnalyticProperty(), replayPassesProperty())
 	return props
 }

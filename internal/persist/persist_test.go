@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -43,6 +45,47 @@ func wantMiss(t *testing.T, st *Store, key string) {
 	t.Helper()
 	if got, ok := st.Get(key); ok {
 		t.Fatalf("Get(%q) = %q, want miss", key, got)
+	}
+}
+
+// TestRefPointerFree pins the index entry's layout: a ref holds only
+// integers, so the garbage collector never scans the index map, in 16
+// bytes.
+func TestRefPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(ref{})
+	if typ.Size() != 16 {
+		t.Errorf("ref is %d bytes, want 16", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Int32 && f.Type.Kind() != reflect.Int64 {
+			t.Errorf("ref.%s is a %s, want an integer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestSegmentIDsFitRef checks that segment ids stay within the int32 a
+// ref holds: a store whose active segment has the last id refuses to
+// rotate or compact, and Open refuses a segment file named above it.
+func TestSegmentIDsFitRef(t *testing.T) {
+	st := mustOpen(t, Options{Dir: t.TempDir()})
+	mustPut(t, st, "a", "one")
+	st.mu.Lock()
+	st.activeLocked().id = math.MaxInt32
+	rotErr, compErr := st.rotateLocked(), st.compactLocked(context.Background())
+	st.mu.Unlock()
+	st.Kill()
+	if rotErr == nil || compErr == nil {
+		t.Fatalf("rotate %v, compact %v past the last segment id; want errors", rotErr, compErr)
+	}
+
+	dir := t.TempDir()
+	name := fmt.Sprintf("%s%016d%s", segmentPrefix, int64(math.MaxInt32)+1, segmentSuffix)
+	if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(Options{Dir: dir}); err == nil {
+		st.Kill()
+		t.Fatalf("Open accepted segment %s", name)
 	}
 }
 

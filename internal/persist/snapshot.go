@@ -47,10 +47,10 @@ func (s *Store) snapshotPath() string { return filepath.Join(s.dir, snapshotName
 func (s *Store) writeSnapshotLocked() error {
 	snap := snapFile{Version: snapVersion}
 	for _, seg := range s.segs {
-		snap.Segments = append(snap.Segments, snapSegment{ID: seg.id, Size: seg.size})
+		snap.Segments = append(snap.Segments, snapSegment{ID: int64(seg.id), Size: seg.size})
 	}
 	for d, r := range s.index {
-		snap.Entries = append(snap.Entries, snapEntry{Digest: hex.EncodeToString(d[:]), Seg: r.seg.id, Off: r.off, Len: r.n})
+		snap.Entries = append(snap.Entries, snapEntry{Digest: hex.EncodeToString(d[:]), Seg: int64(r.seg), Off: r.off, Len: int64(r.n)})
 	}
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -121,7 +121,7 @@ func (s *Store) restoreSnapshot() bool {
 	}
 	byID := make(map[int64]*segment, len(s.segs))
 	for _, seg := range s.segs {
-		byID[seg.id] = seg
+		byID[int64(seg.id)] = seg
 	}
 	for _, ss := range snap.Segments {
 		seg, ok := byID[ss.ID]
@@ -134,7 +134,7 @@ func (s *Store) restoreSnapshot() bool {
 	var live int64
 	for _, e := range snap.Entries {
 		seg, ok := byID[e.Seg]
-		if !ok || e.Off < 0 || e.Len < recordHeaderLen+minPayloadLen || e.Off+e.Len > seg.size {
+		if !ok || e.Off < 0 || e.Len < recordHeaderLen+minPayloadLen || e.Len > maxRecordLen || e.Off+e.Len > seg.size {
 			return false
 		}
 		var d digest
@@ -144,7 +144,7 @@ func (s *Store) restoreSnapshot() bool {
 		if _, err := hex.Decode(d[:], []byte(e.Digest)); err != nil {
 			return false
 		}
-		index[d] = ref{seg: seg, off: e.Off, n: e.Len}
+		index[d] = ref{seg: seg.id, off: e.Off, n: int32(e.Len)}
 		live += e.Len
 	}
 	s.index = index

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,7 +65,7 @@ var ErrClosed = errors.New("persist: store closed")
 var errBroken = errors.New("persist: store broken by io error")
 
 type segment struct {
-	id   int64
+	id   int32
 	path string
 	f    File
 	size int64
@@ -81,11 +82,12 @@ func digestOf(key string) digest {
 	return digest(sum[:16])
 }
 
-// ref locates one live record.
+// ref locates one live record: the id of its segment, its offset there
+// and its length. It holds no pointer, so the garbage collector never
+// scans the index, and it takes 16 bytes; lookupLocked finds the segment.
 type ref struct {
-	seg *segment
-	off int64
-	n   int64
+	off    int64
+	seg, n int32
 }
 
 // Store is the disk tier. All methods are safe for concurrent use.
@@ -188,12 +190,12 @@ func Open(opts Options) (*Store, error) {
 
 // listSegments returns segment ids in ascending order, removing any
 // leftover temporary files from an interrupted compaction or snapshot.
-func (s *Store) listSegments() ([]int64, error) {
+func (s *Store) listSegments() ([]int32, error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: readdir: %w", err)
 	}
-	var ids []int64
+	var ids []int32
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
@@ -207,17 +209,20 @@ func (s *Store) listSegments() ([]int64, error) {
 		if _, err := fmt.Sscanf(name, segmentPrefix+"%016d"+segmentSuffix, &id); err != nil {
 			continue
 		}
-		ids = append(ids, id)
+		if id < 0 || id > math.MaxInt32 {
+			return nil, fmt.Errorf("persist: segment id %d of %s out of range", id, name)
+		}
+		ids = append(ids, int32(id))
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, nil
 }
 
-func (s *Store) segmentPath(id int64) string {
+func (s *Store) segmentPath(id int32) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%016d%s", segmentPrefix, id, segmentSuffix))
 }
 
-func (s *Store) openSegment(id int64) (*segment, error) {
+func (s *Store) openSegment(id int32) (*segment, error) {
 	path := s.segmentPath(id)
 	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -245,7 +250,7 @@ func (s *Store) scanAll() {
 			continue
 		}
 		for _, e := range entries {
-			s.applyEntry(e.kind, e.d, ref{seg: seg, off: e.off, n: e.n})
+			s.applyEntry(e.kind, e.d, ref{seg: seg.id, off: e.off, n: int32(e.n)})
 		}
 		kept = append(kept, seg)
 	}
@@ -302,11 +307,11 @@ func (s *Store) scanSegment(seg *segment) ([]scanEntry, segVerdict) {
 // accounting.
 func (s *Store) applyEntry(kind byte, d digest, r ref) {
 	if old, ok := s.index[d]; ok {
-		s.dead += old.n
+		s.dead += int64(old.n)
 	}
 	if kind == kindTombstone {
 		delete(s.index, d)
-		s.dead += r.n
+		s.dead += int64(r.n)
 		return
 	}
 	s.index[d] = r
@@ -329,7 +334,7 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 		return nil, false
 	}
 	d := digestOf(key)
-	r, ok := s.index[d]
+	r, f, ok := s.lookupLocked(d)
 	s.mu.RUnlock()
 	if !ok {
 		if count {
@@ -337,7 +342,7 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	kind, gotKey, value, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
+	kind, gotKey, value, _, err := readRecordAt(f, r.off, r.end(), maxRecordLen)
 	if err != nil || kind != kindPut {
 		s.corrupt.Add(1)
 		if count {
@@ -346,7 +351,7 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 		s.mu.Lock()
 		if cur, ok := s.index[d]; ok && cur == r {
 			delete(s.index, d)
-			s.dead += r.n
+			s.dead += int64(r.n)
 		}
 		s.mu.Unlock()
 		return nil, false
@@ -362,6 +367,22 @@ func (s *Store) read(key string, count bool) ([]byte, bool) {
 	}
 	return value, true
 }
+
+// lookupLocked returns d's ref and the file of its segment; ok is false
+// when d is not indexed. Callers hold s.mu.
+func (s *Store) lookupLocked(d digest) (r ref, f File, ok bool) {
+	r, ok = s.index[d]
+	if !ok {
+		return ref{}, nil, false
+	}
+	// An indexed ref names an open segment, and s.segs is in ascending
+	// id order.
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].id >= r.seg })
+	return r, s.segs[i].f, true
+}
+
+// end returns the offset just past r's record.
+func (r ref) end() int64 { return r.off + int64(r.n) }
 
 // Has reports whether key is indexed without touching disk.
 func (s *Store) Has(key string) bool {
@@ -430,7 +451,7 @@ func (s *Store) append(ctx context.Context, key string, rec []byte, tombstone bo
 	}
 	active.size = off + int64(len(rec))
 	s.bytesAppended.Add(uint64(len(rec)))
-	r := ref{seg: active, off: off, n: int64(len(rec))}
+	r := ref{seg: active.id, off: off, n: int32(len(rec))}
 	kind := kindPut
 	if tombstone {
 		kind = kindTombstone
@@ -444,13 +465,15 @@ func (s *Store) activeLocked() *segment { return s.segs[len(s.segs)-1] }
 // rotateLocked opens a new active segment with an id above every
 // existing one.
 func (s *Store) rotateLocked() error {
-	var next int64 = 1
+	var next int32 = 1
 	if len(s.segs) > 0 {
-		last := s.activeLocked()
-		if last.size == 0 {
+		if s.activeLocked().size == 0 {
 			return nil // current active is still empty; reuse it
 		}
-		next = last.id + 1
+		var err error
+		if next, err = s.nextIDLocked(); err != nil {
+			return err
+		}
 	}
 	seg, err := s.openSegment(next)
 	if err != nil {
@@ -460,6 +483,17 @@ func (s *Store) rotateLocked() error {
 	s.segs = append(s.segs, seg)
 	s.segsCreated.Add(1)
 	return nil
+}
+
+// nextIDLocked returns the id after the active segment's. Ids are int32,
+// so that a ref holds one; a store that has used them all up refuses
+// to rotate.
+func (s *Store) nextIDLocked() (int32, error) {
+	id := s.activeLocked().id
+	if id == math.MaxInt32 {
+		return 0, fmt.Errorf("persist: segment ids exhausted at %d", id)
+	}
+	return id + 1, nil
 }
 
 func (s *Store) totalBytesLocked() int64 {
@@ -487,7 +521,7 @@ func (s *Store) maybeCompactLocked(ctx context.Context) {
 		for total > s.maxBytes && len(s.segs) > 1 {
 			oldest := s.segs[0]
 			for d, r := range s.index {
-				if r.seg == oldest {
+				if r.seg == oldest.id {
 					delete(s.index, d)
 					s.evictedKeys.Add(1)
 				}
@@ -522,7 +556,10 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	defer span.End()
 
 	old := s.segs
-	newID := s.activeLocked().id + 1
+	newID, err := s.nextIDLocked()
+	if err != nil {
+		return err
+	}
 	path := s.segmentPath(newID)
 	tmp := path + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -544,8 +581,8 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	}
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := s.index[ds[i]], s.index[ds[j]]
-		if a.seg.id != b.seg.id {
-			return a.seg.id < b.seg.id
+		if a.seg != b.seg {
+			return a.seg < b.seg
 		}
 		return a.off < b.off
 	})
@@ -553,8 +590,8 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	var off int64
 	seg := &segment{id: newID, path: path}
 	for _, d := range ds {
-		r := s.index[d]
-		kind, key, value, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
+		r, from, _ := s.lookupLocked(d)
+		kind, key, value, _, err := readRecordAt(from, r.off, r.end(), maxRecordLen)
 		if err != nil || kind != kindPut || digestOf(key) != d {
 			// Rot discovered during compaction: drop the record, count
 			// it, and keep going — same contract as Get.
@@ -566,7 +603,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 		if _, err := f.WriteAt(rec, off); err != nil {
 			return abort(fmt.Errorf("persist: compact write: %w", err))
 		}
-		newRefs[d] = ref{seg: seg, off: off, n: int64(len(rec))}
+		newRefs[d] = ref{seg: newID, off: off, n: int32(len(rec))}
 		off += int64(len(rec))
 	}
 	if err := f.Sync(); err != nil {

@@ -114,11 +114,11 @@ func (s *Store) Export(pred func(key string) bool, fn func(key string, value []b
 // the index or its record does not verify.
 func (s *Store) keyOf(d digest) (string, bool) {
 	s.mu.RLock()
-	r, ok := s.index[d]
+	r, f, ok := s.lookupLocked(d)
 	s.mu.RUnlock()
 	if !ok {
 		return "", false
 	}
-	kind, key, _, _, err := readRecordAt(r.seg.f, r.off, r.off+r.n, maxRecordLen)
+	kind, key, _, _, err := readRecordAt(f, r.off, r.end(), maxRecordLen)
 	return key, err == nil && kind == kindPut
 }

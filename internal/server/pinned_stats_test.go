@@ -193,6 +193,8 @@ func pinnedRuns(t *testing.T) map[string]string {
 
 // BenchmarkPinnedJobs times each pinned job as a kernels workload round
 // runs it, on a flushed simulator, and reports its cost per reference.
+// The references count those of passes a replay folds (see
+// trace.ReplayPattern): accounted for, but never simulated.
 func BenchmarkPinnedJobs(b *testing.B) {
 	for _, j := range pinnedJobs() {
 		b.Run(j.name, func(b *testing.B) {

@@ -134,6 +134,14 @@ var replayBufs = sync.Pool{New: func() any { return new([replayChunk]cache.Acces
 // organisation in fixed-size chunks via the batch API and returns the
 // stats delta, never materialising the trace: peak memory is O(1) in
 // the pattern size. It is Replay for patterns too large to Build.
+//
+// Once a pass evicts nothing, every later pass hits on every
+// reference, and a cache.BatchSim that accepts RepeatPass for the
+// passes left accounts for them in O(1) instead of running them; the
+// Stats, and the simulator's answers to later references, are those
+// of running them (cache.BatchSim says which organisations accept). A
+// simulator that is not a BatchSim, such as the oracle's reference
+// models, runs every pass.
 func ReplayPattern(c cache.Sim, p Pattern, passes int) (cache.Stats, error) {
 	stats, _, err := ReplayPatternContext(context.Background(), c, p, passes, 0)
 	return stats, err
@@ -154,11 +162,13 @@ func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes in
 		return cache.Stats{}, 0, err
 	}
 	before := c.Stats()
+	bs, _ := c.(cache.BatchSim)
 	var refsDone uint64
 	budget := checkEvery
 	buf := replayBufs.Get().(*[replayChunk]cache.Access)
 	defer replayBufs.Put(buf)
 	for pass := 0; pass < passes; pass++ {
+		passStats, passRefs := c.Stats(), refsDone
 		cur.Reset()
 		for {
 			n := cur.Next(buf[:])
@@ -182,6 +192,12 @@ func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes in
 		// a tiny-pattern × many-passes job stays cancellable.
 		if err := ctx.Err(); err != nil {
 			return diffStats(c.Stats(), before), refsDone, err
+		}
+		// The passes left fold into this one when it evicted nothing.
+		if rest := uint64(passes - pass - 1); rest > 0 && bs != nil &&
+			bs.RepeatPass(diffStats(c.Stats(), passStats), rest) {
+			refsDone += rest * (refsDone - passRefs)
+			break
 		}
 	}
 	return diffStats(c.Stats(), before), refsDone, nil
