@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSimVsReference -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run=NONE -fuzz=FuzzRepeatPass -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run=NONE -fuzz=FuzzBankModelVsBruteForce -fuzztime=$(FUZZTIME) ./internal/membank/
+	$(GO) test -run=NONE -fuzz=FuzzJobKey -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Observability suite: the tracing/exposition unit layer, both tiers'
 # /metrics and /v1/stats goldens, the family-set and documented-family

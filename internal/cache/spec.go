@@ -1,12 +1,10 @@
 package cache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -305,40 +303,31 @@ func SpecFromJSON(r io.Reader) (Spec, error) {
 // order. Equal organisations render identically, so the string doubles
 // as a memoization key component.
 func (s Spec) String() string {
+	var buf [48]byte
+	return string(s.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's form of s to dst and returns the extended
+// slice. The fields follow the kind in alphabetical order of their
+// keys (c, lines, policy, victim, ways); an unknown kind has none.
+func (s Spec) AppendTo(dst []byte) []byte {
 	s = s.Normalize()
-	fields := map[string]string{}
+	dst = append(dst, s.Kind...)
 	switch s.Kind {
 	case "prime":
-		fields["c"] = strconv.FormatUint(uint64(s.C), 10)
+		dst = strconv.AppendUint(append(dst, ":c="...), uint64(s.C), 10)
 	case "prime-assoc":
-		fields["c"] = strconv.FormatUint(uint64(s.C), 10)
-		fields["ways"] = strconv.Itoa(s.Ways)
+		dst = strconv.AppendUint(append(dst, ":c="...), uint64(s.C), 10)
+		dst = strconv.AppendInt(append(dst, ",ways="...), int64(s.Ways), 10)
 	case "direct", "full", "skewed":
-		fields["lines"] = strconv.Itoa(s.Lines)
+		dst = strconv.AppendInt(append(dst, ":lines="...), int64(s.Lines), 10)
 	case "assoc":
-		fields["lines"] = strconv.Itoa(s.Lines)
-		fields["ways"] = strconv.Itoa(s.Ways)
-		fields["policy"] = strings.ToLower(s.Policy)
+		dst = strconv.AppendInt(append(dst, ":lines="...), int64(s.Lines), 10)
+		dst = append(append(dst, ",policy="...), strings.ToLower(s.Policy)...)
+		dst = strconv.AppendInt(append(dst, ",ways="...), int64(s.Ways), 10)
 	case "victim":
-		fields["lines"] = strconv.Itoa(s.Lines)
-		fields["victim"] = strconv.Itoa(s.VictimLines)
+		dst = strconv.AppendInt(append(dst, ":lines="...), int64(s.Lines), 10)
+		dst = strconv.AppendInt(append(dst, ",victim="...), int64(s.VictimLines), 10)
 	}
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b bytes.Buffer
-	b.WriteString(s.Kind)
-	for i, k := range keys {
-		if i == 0 {
-			b.WriteByte(':')
-		} else {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(fields[k])
-	}
-	return b.String()
+	return dst
 }

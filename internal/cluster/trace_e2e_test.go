@@ -208,6 +208,49 @@ func TestClusterTraceDeterministicSpanTree(t *testing.T) {
 	}
 }
 
+// TestClusterTraceMemoizedSpanTree is the memo-on companion of
+// TestClusterTraceDeterministicSpanTree: once a sweep has warmed the
+// backends' memos, every job of the same sweep renders as a sweep.job
+// whose one child is memo.lookup hit=true — answered inline, with no
+// pool span — and the stitched tree is the same on every run.
+func TestClusterTraceMemoizedSpanTree(t *testing.T) {
+	clk := sim.NewVirtual()
+	ct := obs.NewTracer(obs.TracerOptions{Origin: "coord", Clock: clk})
+	node := server.Options{Workers: 2, Clock: clk}
+	lc, err := StartLocal(3, node, Options{ProbeInterval: -1, HedgeAfter: -1, Clock: clk, Tracer: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	req := traceSweep()
+	run := func() string {
+		before := ct.Finished()
+		postSweep(t, lc.URL(), req)
+		_, tree := stitchSweepTrace(t, lc, ct, before)
+		return tree
+	}
+	run() // warms the memos
+	tree1, tree2 := run(), run()
+	if tree1 != tree2 {
+		t.Fatalf("same memoized sweep rendered different trees:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", tree1, tree2)
+	}
+
+	lines := parseTree(t, tree1)
+	jobs := len(req.Jobs)
+	if n := countAt(lines, 3, "sweep.job idx="); n != jobs {
+		t.Errorf("%d sweep.job spans for %d jobs:\n%s", n, jobs, tree1)
+	}
+	if n := countAt(lines, 4, ""); n != jobs || countAt(lines, 4, "memo.lookup hit=true ") != jobs {
+		t.Errorf("want each of %d jobs to have the one child memo.lookup hit=true:\n%s", jobs, tree1)
+	}
+	for _, l := range lines {
+		if l.depth > 4 || strings.HasPrefix(l.text, "pool.") {
+			t.Errorf("memoized sweep rendered %q at depth %d:\n%s", l.text, l.depth, tree1)
+		}
+	}
+}
+
 // TestClusterTracePropagatesCallerHeader pins the propagation contract
 // at the coordinator edge: a request that already carries
 // X-Vcache-Trace must join that trace (remote edge span under the

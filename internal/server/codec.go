@@ -14,7 +14,6 @@
 package server
 
 import (
-	"fmt"
 	"strconv"
 
 	"primecache/internal/cache"
@@ -141,7 +140,11 @@ var epochSuffix = "|epoch=" + strconv.Itoa(ResultEpoch)
 // normalisation) produce equal keys.
 func (r SimulateRequest) Key() string {
 	r = r.Normalize()
-	return "simulate|" + r.Cache.String() + "|" + r.Pattern.String() + "|passes=" + strconv.Itoa(r.Passes) + epochSuffix
+	var buf [160]byte
+	b := r.Cache.AppendTo(append(buf[:0], "simulate|"...))
+	b = r.Pattern.AppendTo(append(b, '|'))
+	b = strconv.AppendInt(append(b, "|passes="...), int64(r.Passes), 10)
+	return string(append(b, epochSuffix...))
 }
 
 // SimulateResponse reports the full stats of one simulation.
@@ -247,8 +250,17 @@ func (r ModelRequest) Validate(Limits) error {
 // Key returns the canonical memoization key.
 func (r ModelRequest) Key() string {
 	r = r.Normalize()
-	return fmt.Sprintf("model|banks=%d,tm=%d,b=%d,r=%d,pds=%g,p1=%g,p1s2=%g,n=%d,c=%d",
-		r.Banks, r.Tm, r.B, r.R, *r.Pds, *r.P1, *r.P1S2, r.N, r.C) + epochSuffix
+	var buf [160]byte
+	b := strconv.AppendInt(append(buf[:0], "model|banks="...), int64(r.Banks), 10)
+	b = strconv.AppendInt(append(b, ",tm="...), int64(r.Tm), 10)
+	b = strconv.AppendInt(append(b, ",b="...), int64(r.B), 10)
+	b = strconv.AppendInt(append(b, ",r="...), int64(r.R), 10)
+	b = strconv.AppendFloat(append(b, ",pds="...), *r.Pds, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",p1="...), *r.P1, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",p1s2="...), *r.P1S2, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, ",n="...), int64(r.N), 10)
+	b = strconv.AppendUint(append(b, ",c="...), uint64(r.C), 10)
+	return string(append(b, epochSuffix...))
 }
 
 // ModelMachine is one column of the vcmodel table: every intermediate

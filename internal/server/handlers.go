@@ -65,13 +65,28 @@ type inflightCall struct {
 // leader and computes, the rest share its result and count as memoized —
 // so a sweep repeating one config costs one compute slot, not many.
 func (s *Server) computeJob(ctx context.Context, job SweepJob, key string) (result any, memoized bool, err error) {
-	for {
-		_, mspan := obs.Start(ctx, "memo.lookup")
-		v, hit := s.memo.Get(key)
-		mspan.SetAttr("hit", strconv.FormatBool(hit))
-		mspan.End()
-		if hit {
-			return v, true, nil
+	if v, hit := s.memoLookup(ctx, key); hit {
+		return v, true, nil
+	}
+	return s.computeMiss(ctx, job, key)
+}
+
+// memoLookup is one counted, traced probe of the memo.
+func (s *Server) memoLookup(ctx context.Context, key string) (any, bool) {
+	_, span := obs.Start(ctx, "memo.lookup")
+	v, hit := s.memo.Get(key)
+	span.SetAttr("hit", strconv.FormatBool(hit))
+	span.End()
+	return v, hit
+}
+
+// computeMiss is computeJob after its memo lookup missed.
+func (s *Server) computeMiss(ctx context.Context, job SweepJob, key string) (result any, memoized bool, err error) {
+	for retry := false; ; retry = true {
+		if retry {
+			if v, hit := s.memoLookup(ctx, key); hit {
+				return v, true, nil
+			}
 		}
 		if s.persist != nil {
 			if v, ok := s.persistLookup(ctx, key); ok {
@@ -89,8 +104,8 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, key string) (resu
 		c, joined := s.calls[key]
 		if !joined && s.memo.Contains(key) {
 			// A leader published the value and left between the memo
-			// miss above and here; it publishes before it leaves, so
-			// the memo holds the value now. Read it through Get.
+			// miss and here; it publishes before it leaves, so the memo
+			// holds the value now. Read it through Get.
 			s.callMu.Unlock()
 			continue
 		}
@@ -216,8 +231,10 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, job S
 	s.writeConditional(w, r, key, v, memoized)
 }
 
-// handleSweep fans the batch out across the compute slots and streams the
-// results back in input order as they complete (see WriteSweep).
+// handleSweep answers each memoized job inline, fans the others out
+// across the compute slots, and streams the results back in input order
+// as they complete (see WriteSweep). A memoized result is in its slot
+// before the first write, so a sweep of memo hits is flushed once.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
@@ -239,37 +256,48 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	// Fan out: one goroutine per job, throughput bounded by the pool.
 	// Each job's slot is a single-element channel so the writer below
 	// can emit results in input order while later jobs keep computing.
+	// A memo hit fills its slot here; a miss goes on in a goroutine of
+	// its own, throughput bounded by the pool. Each job's span ends
+	// before its result is handed to the writer: once the response is
+	// written every job span is in the trace.
 	slots := make([]chan []byte, len(req.Jobs))
-	for i := range req.Jobs {
+	for i, job := range req.Jobs {
 		slots[i] = make(chan []byte, 1)
-		go func(i int, job SweepJob) {
-			// Per-job span, ended before the result is handed to the
-			// writer: once the response is written every job span is in
-			// the trace.
-			jctx, jspan := obs.Start(ctx, "sweep.job", obs.Int("idx", i))
-			res := SweepResult{Index: i}
-			v, memoized, err := s.computeJob(jctx, job, job.Key())
-			if err != nil {
-				ae := asAPIError(err)
-				res.Error = ae.Message
-				res.ErrorCode = ae.Code
-			} else {
-				res.Memoized = memoized
-				switch t := v.(type) {
-				case *SimulateResponse:
-					res.Simulate = t
-				case *ModelResponse:
-					res.Model = t
-				}
-			}
+		key := job.Key()
+		jctx, jspan := obs.Start(ctx, "sweep.job", obs.Int("idx", i))
+		if v, hit := s.memoLookup(jctx, key); hit {
 			jspan.End()
-			slots[i] <- SweepResultLine(res)
-		}(i, req.Jobs[i])
+			slots[i] <- sweepJobLine(i, v, true, nil)
+			continue
+		}
+		go func() {
+			v, memoized, err := s.computeMiss(jctx, job, key)
+			jspan.End()
+			slots[i] <- sweepJobLine(i, v, memoized, err)
+		}()
 	}
 	WriteSweep(w, slots, func(i int) []byte { return <-slots[i] })
+}
+
+// sweepJobLine encodes job i's outcome as its /v1/sweep line.
+func sweepJobLine(i int, v any, memoized bool, err error) []byte {
+	res := SweepResult{Index: i}
+	if err != nil {
+		ae := asAPIError(err)
+		res.Error = ae.Message
+		res.ErrorCode = ae.Code
+	} else {
+		res.Memoized = memoized
+		switch t := v.(type) {
+		case *SimulateResponse:
+			res.Simulate = t
+		case *ModelResponse:
+			res.Model = t
+		}
+	}
+	return SweepResultLine(res)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -415,6 +415,96 @@ func TestSweepMemoSharing(t *testing.T) {
 	}
 }
 
+// distinctJobs returns n jobs no two of which share a key, simulate and
+// model alternating; offset shifts them to another n.
+func distinctJobs(n, offset int) []SweepJob {
+	jobs := make([]SweepJob, n)
+	for i := range jobs {
+		k := i + offset
+		if i%2 == 0 {
+			jobs[i] = SweepJob{Simulate: &SimulateRequest{
+				Cache:   cache.Spec{Kind: "prime", C: 7},
+				Pattern: trace.Pattern{Name: "strided", Stride: int64(1 + k), N: 256},
+			}}
+		} else {
+			jobs[i] = SweepJob{Model: &ModelRequest{Banks: 64, Tm: 16 + k, B: 1024}}
+		}
+	}
+	return jobs
+}
+
+// TestSweepLooksEachJobUpOnce: a sweep of k memoized and m fresh jobs
+// raises the memo's hits by exactly k and its misses by exactly m,
+// whether a job is answered inline or computed.
+func TestSweepLooksEachJobUpOnce(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	const k, m = 5, 4
+	warm, fresh := distinctJobs(k, 0), distinctJobs(m, k)
+	if resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Jobs: warm}); resp.StatusCode != 200 {
+		t.Fatalf("warming sweep status = %d: %s", resp.StatusCode, body)
+	}
+	var jobs []SweepJob
+	for i := 0; i < k || i < m; i++ {
+		if i < k {
+			jobs = append(jobs, warm[i])
+		}
+		if i < m {
+			jobs = append(jobs, fresh[i])
+		}
+	}
+	before := StatsBlocks(s.metrics.Snapshot()).Memo
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Jobs: jobs})
+	if resp.StatusCode != 200 {
+		t.Fatalf("sweep status = %d: %s", resp.StatusCode, body)
+	}
+	memoized := 0
+	for _, r := range decodeSweep(t, body) {
+		if r.Error != "" {
+			t.Fatalf("job %d: %s", r.Index, r.Error)
+		}
+		if r.Memoized {
+			memoized++
+		}
+	}
+	after := StatsBlocks(s.metrics.Snapshot()).Memo
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != k || misses != m {
+		t.Errorf("memo hits +%d, misses +%d; want +%d and +%d", hits, misses, k, m)
+	}
+	if memoized != k {
+		t.Errorf("%d results memoized, want %d", memoized, k)
+	}
+}
+
+// TestSweepAllMemoizedFlushesOnce: every result of a sweep of memo hits
+// is ready before the first write, so the body is flushed once, at the
+// end.
+func TestSweepAllMemoizedFlushesOnce(t *testing.T) {
+	s := New(Options{Workers: 2})
+	defer s.pool.Close()
+	body, err := json.Marshal(SweepRequest{Jobs: distinctJobs(12, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() *flushCounter {
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sweep status = %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	sweep()
+	rec := sweep()
+	for _, r := range decodeSweep(t, rec.Body.Bytes()) {
+		if !r.Memoized {
+			t.Fatalf("job %d not memoized on the second sweep", r.Index)
+		}
+	}
+	if len(rec.flushedAt) != 1 || rec.flushedAt[0] != rec.Body.Len() {
+		t.Errorf("all-memoized sweep flushed at %v, want once at %d", rec.flushedAt, rec.Body.Len())
+	}
+}
+
 // TestRequestTimeout: a job too large for the request timeout returns a
 // structured 504 instead of hanging.
 func TestRequestTimeout(t *testing.T) {

@@ -37,7 +37,10 @@ const (
 // line is there. Lines go out in input order. The body is flushed only
 // when the next line is not ready yet, and once at the end, so results
 // that are ready together share a network write while a slow job never
-// holds back the ones before it.
+// holds back the ones before it. Lines already in their slots when
+// WriteSweep starts, such as a node's memoized results, go out without
+// a flush between them: a sweep whose lines are all there is flushed
+// once, at the end.
 func WriteSweep(w http.ResponseWriter, slots []chan []byte, wait func(i int) []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	flusher, _ := w.(http.Flusher)

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -168,19 +169,34 @@ func (p Pattern) Build() (Trace, error) {
 // equal patterns render identically, so the string doubles as a
 // memoization key component.
 func (p Pattern) String() string {
+	var buf [96]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's form of p to dst and returns the extended
+// slice: the name, then the fields its generator reads. An unknown
+// name has none.
+func (p Pattern) AppendTo(dst []byte) []byte {
 	p = p.Normalize()
+	dst = append(dst, p.Name...)
+	bare := len(dst)
+	dst = strconv.AppendUint(append(dst, ":start="...), p.Start, 10)
 	switch p.Name {
 	case "strided":
-		return fmt.Sprintf("strided:start=%d,stride=%d,n=%d,stream=%d", p.Start, p.Stride, p.N, p.Stream)
-	case "diagonal":
-		return fmt.Sprintf("diagonal:start=%d,ld=%d,n=%d,stream=%d", p.Start, p.LD, p.N, p.Stream)
+		dst = appendField(appendField(dst, ",stride=", p.Stride), ",n=", int64(p.N))
+	case "diagonal", "rowcol":
+		dst = appendField(appendField(dst, ",ld=", int64(p.LD)), ",n=", int64(p.N))
 	case "subblock":
-		return fmt.Sprintf("subblock:start=%d,ld=%d,b1=%d,b2=%d,stream=%d", p.Start, p.LD, p.B1, p.B2, p.Stream)
-	case "rowcol":
-		return fmt.Sprintf("rowcol:start=%d,ld=%d,n=%d,stream=%d", p.Start, p.LD, p.N, p.Stream)
+		dst = appendField(appendField(appendField(dst, ",ld=", int64(p.LD)), ",b1=", int64(p.B1)), ",b2=", int64(p.B2))
 	case "fft":
-		return fmt.Sprintf("fft:start=%d,n=%d,b2=%d,stream=%d", p.Start, p.N, p.B2, p.Stream)
+		dst = appendField(appendField(dst, ",n=", int64(p.N)), ",b2=", int64(p.B2))
 	default:
-		return p.Name
+		return dst[:bare]
 	}
+	return appendField(dst, ",stream=", int64(p.Stream))
+}
+
+// appendField appends key, then v in decimal.
+func appendField(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(dst, key...), v, 10)
 }

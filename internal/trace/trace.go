@@ -166,6 +166,8 @@ func Replay(c cache.Sim, t Trace) cache.Stats {
 	return diffStats(after, before)
 }
 
+// diffStats returns a − b field by field: the counts a simulator
+// gathered between the two snapshots.
 func diffStats(a, b cache.Stats) cache.Stats {
 	return cache.Stats{
 		Accesses:          a.Accesses - b.Accesses,
@@ -179,5 +181,7 @@ func diffStats(a, b cache.Stats) cache.Stats {
 		SelfInterference:  a.SelfInterference - b.SelfInterference,
 		CrossInterference: a.CrossInterference - b.CrossInterference,
 		Evictions:         a.Evictions - b.Evictions,
+		Writebacks:        a.Writebacks - b.Writebacks,
+		MemoryWrites:      a.MemoryWrites - b.MemoryWrites,
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"primecache/internal/cache"
@@ -127,6 +128,47 @@ func TestReplayDelta(t *testing.T) {
 	s2 := Replay(c, Strided(0, 1, 16, 0))
 	if s2.Accesses != 16 || s2.Hits != 16 || s2.Misses != 0 {
 		t.Errorf("second replay delta not isolated: %+v", s2)
+	}
+}
+
+// TestReplayDeltaStores checks that a replay's delta carries the store
+// traffic: every store reaches memory through a write-through cache,
+// and a write-back cache writes back the dirty lines a replay evicts.
+func TestReplayDeltaStores(t *testing.T) {
+	wt, _ := cache.NewDirect(16)
+	Replay(wt, StridedWrite(0, 1, 4, 0))
+	if s := Replay(wt, StridedWrite(0, 1, 8, 0)); s.Writes != 8 || s.MemoryWrites != 8 || s.Writebacks != 0 {
+		t.Errorf("write-through delta: %+v", s)
+	}
+
+	m, _ := cache.NewDirectMapper(16)
+	wb, err := cache.New(cache.Config{Mapper: m, Ways: 1, WriteBack: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := Replay(wb, StridedWrite(0, 1, 8, 0)); s.MemoryWrites != 0 || s.Writebacks != 0 {
+		t.Errorf("write-back delta before any eviction: %+v", s)
+	}
+	// Words 16..23 map to the sets words 0..7 dirtied.
+	if s := Replay(wb, Strided(16, 1, 8, 0)); s.Evictions != 8 || s.Writebacks != 8 || s.MemoryWrites != 8 {
+		t.Errorf("write-back delta: %+v", s)
+	}
+}
+
+// TestDiffStatsEveryField checks that diffStats subtracts every Stats
+// field, so a counter added later cannot read 0 in replay deltas.
+func TestDiffStatsEveryField(t *testing.T) {
+	var a, b cache.Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(100 + 3*i))
+		bv.Field(i).SetUint(uint64(i))
+	}
+	d := reflect.ValueOf(diffStats(a, b))
+	for i := 0; i < d.NumField(); i++ {
+		if got, want := d.Field(i).Uint(), uint64(100+2*i); got != want {
+			t.Errorf("diffStats %s = %d, want %d", d.Type().Field(i).Name, got, want)
+		}
 	}
 }
 
