@@ -79,3 +79,21 @@ func TestGoldenFigure4SVG(t *testing.T) {
 	}
 	checkGolden(t, "figure4.svg", b.Bytes())
 }
+
+// TestGoldenPrefetch pins the §2.2 prefetching comparison, whose
+// sequential and stride columns run PrefetchCache.
+func TestGoldenPrefetch(t *testing.T) {
+	checkGolden(t, "prefetch.txt", renderTable(t, experiments.PrefetchTable()))
+}
+
+// TestGoldenKernels pins the kernel suite's miss ratios across every
+// organisation, the stride prefetcher among them.
+func TestGoldenKernels(t *testing.T) {
+	checkGolden(t, "kernels.txt", renderTable(t, experiments.KernelTable()))
+}
+
+// TestGoldenKernelConflicts pins the kernel suite's conflict misses
+// across every organisation.
+func TestGoldenKernelConflicts(t *testing.T) {
+	checkGolden(t, "kernel_conflicts.txt", renderTable(t, experiments.KernelConflictTable()))
+}
