@@ -43,7 +43,7 @@ type history struct {
 
 // nodeFacts is what a node knows of its line besides the line itself.
 // The seen flag and the evictor are separate facts: a prefetch fill
-// (Cache.installLine) can evict a line that no demand reference has
+// (PrefetchCache.install) can evict a line that no demand reference has
 // touched, and that line's first demand touch is still compulsory.
 type nodeFacts struct {
 	evictor int32 // stream that last evicted the line; StreamNone = none known

@@ -182,3 +182,24 @@ func TestPrefetchAccuracyZeroWhenIdle(t *testing.T) {
 		t.Error("idle accuracy != 0")
 	}
 }
+
+func TestPrefetchFillWritesBackDirtyVictim(t *testing.T) {
+	// A store to line 1 prefetches line 2; a load of line 4 prefetches
+	// line 5 into set 1, evicting the dirty line 1. That eviction is a
+	// writeback like a demand miss's, though not a demand eviction.
+	m, _ := NewDirectMapper(4)
+	c := MustNew(Config{Mapper: m, Ways: 1, WriteBack: true})
+	p, _ := NewPrefetchCache(c, PrefetchSequential, 1)
+	p.Access(Access{Addr: 1 * 8, Write: true, Stream: 1})
+	p.Access(Access{Addr: 4 * 8, Stream: 1})
+	if c.Contains(1 * 8) {
+		t.Fatal("line 1 still resident; the prefetch of line 5 should have evicted it")
+	}
+	s := p.Stats()
+	if s.Writebacks != 1 || s.MemoryWrites != 1 {
+		t.Errorf("writebacks/memory writes = %d/%d, want 1/1", s.Writebacks, s.MemoryWrites)
+	}
+	if s.Evictions != 0 {
+		t.Errorf("evictions = %d, want 0: a prefetch fill's eviction is not a demand eviction", s.Evictions)
+	}
+}

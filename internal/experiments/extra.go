@@ -104,18 +104,17 @@ func PrefetchTable() *report.Table {
 	const n = 4096
 	for _, stride := range []int64{1, 7, 64, 512} {
 		direct := runStrided(plainCache(), stride, n)
-		seqC, seqP := prefetchCache(cache.PrefetchSequential)
-		runStridedPF(seqP, stride, n)
-		strC, strP := prefetchCache(cache.PrefetchStride)
-		runStridedPF(strP, stride, n)
+		seq := runStrided(prefetchCache(cache.PrefetchSequential), stride, n)
+		strP := prefetchCache(cache.PrefetchStride)
+		str := runStrided(strP, stride, n)
 		prime := core.MustPrime(CacheExp)
 		for pass := 0; pass < 2; pass++ {
 			prime.LoadVector(0, stride, n, 1)
 		}
 		t.MustAddRow(stride,
 			100*direct.MissRatio(),
-			100*seqC.Stats().MissRatio(),
-			100*strC.Stats().MissRatio(),
+			100*seq.MissRatio(),
+			100*str.MissRatio(),
 			strP.PrefetchStats().Wasted,
 			100*prime.Stats().MissRatio())
 	}
@@ -130,30 +129,21 @@ func plainCache() *cache.Cache {
 	return c
 }
 
-func prefetchCache(kind cache.PrefetchKind) (*cache.Cache, *cache.PrefetchCache) {
-	c := plainCache()
-	p, err := cache.NewPrefetchCache(c, kind, 2)
+func prefetchCache(kind cache.PrefetchKind) *cache.PrefetchCache {
+	p, err := cache.NewPrefetchCache(plainCache(), kind, 2)
 	if err != nil {
 		panic(err)
 	}
-	return c, p
+	return p
 }
 
-func runStrided(c *cache.Cache, stride int64, n int) cache.Stats {
+// runStrided replays two passes of an n-element sweep of stride words
+// on stream 1 through s and returns its demand statistics.
+func runStrided(s cache.Sim, stride int64, n int) cache.Stats {
 	for pass := 0; pass < 2; pass++ {
-		trace.Replay(c, trace.Strided(0, stride, n, 1))
+		trace.Replay(s, trace.Strided(0, stride, n, 1))
 	}
-	return c.Stats()
-}
-
-func runStridedPF(p *cache.PrefetchCache, stride int64, n int) {
-	for pass := 0; pass < 2; pass++ {
-		a := int64(0)
-		for i := 0; i < n; i++ {
-			p.Access(cache.Access{Addr: uint64(a) * 8, Stream: 1})
-			a += stride
-		}
-	}
+	return s.Stats()
 }
 
 // PrimeMemoryTable contrasts the §2.3 lineage the paper cites: a prime
