@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRepeatPass -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run=NONE -fuzz=FuzzBankModelVsBruteForce -fuzztime=$(FUZZTIME) ./internal/membank/
 	$(GO) test -run=NONE -fuzz=FuzzJobKey -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzTraceRead -fuzztime=$(FUZZTIME) ./internal/trace/
 
 # Observability suite: the tracing/exposition unit layer, both tiers'
 # /metrics and /v1/stats goldens, the family-set and documented-family

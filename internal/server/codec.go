@@ -185,7 +185,8 @@ type ModelRequest struct {
 	R int `json:"r,omitempty"`
 	// Pds is the double-stream probability; P1 the unit-stride
 	// probability applied to both streams unless P1S2 overrides the
-	// second. Negative values select the defaults (0.25).
+	// second. An omitted (null) Pds or P1 defaults to 0.25, an omitted
+	// P1S2 to P1. A value outside [0, 1] is rejected.
 	Pds  *float64 `json:"pds,omitempty"`
 	P1   *float64 `json:"p1,omitempty"`
 	P1S2 *float64 `json:"p1s2,omitempty"`
@@ -196,8 +197,26 @@ type ModelRequest struct {
 	C uint `json:"c,omitempty"`
 }
 
-// Normalize fills defaults.
+// Normalize fills defaults. A defaulted probability gets a pointer of
+// its own.
 func (r ModelRequest) Normalize() ModelRequest {
+	r = r.withSizeDefaults()
+	pds, p1, p1s2 := r.probabilities()
+	if r.Pds == nil {
+		r.Pds = f64(pds)
+	}
+	if r.P1 == nil {
+		r.P1 = f64(p1)
+	}
+	if r.P1S2 == nil {
+		r.P1S2 = f64(p1s2)
+	}
+	return r
+}
+
+// withSizeDefaults fills the defaults of every field but the
+// probabilities.
+func (r ModelRequest) withSizeDefaults() ModelRequest {
 	if r.Banks == 0 {
 		r.Banks = 64
 	}
@@ -210,15 +229,6 @@ func (r ModelRequest) Normalize() ModelRequest {
 	if r.R == 0 {
 		r.R = r.B
 	}
-	if r.Pds == nil {
-		r.Pds = f64(0.25)
-	}
-	if r.P1 == nil {
-		r.P1 = f64(0.25)
-	}
-	if r.P1S2 == nil {
-		r.P1S2 = f64(*r.P1)
-	}
 	if r.N == 0 {
 		r.N = 1 << 20
 	}
@@ -226,6 +236,23 @@ func (r ModelRequest) Normalize() ModelRequest {
 		r.C = 13
 	}
 	return r
+}
+
+// probabilities returns Pds, P1 and P1S2 with their defaults applied,
+// without allocating.
+func (r ModelRequest) probabilities() (pds, p1, p1s2 float64) {
+	pds, p1 = 0.25, 0.25
+	if r.Pds != nil {
+		pds = *r.Pds
+	}
+	if r.P1 != nil {
+		p1 = *r.P1
+	}
+	p1s2 = p1
+	if r.P1S2 != nil {
+		p1s2 = *r.P1S2
+	}
+	return pds, p1, p1s2
 }
 
 func f64(v float64) *float64 { return &v }
@@ -247,17 +274,20 @@ func (r ModelRequest) Validate(Limits) error {
 	return nil
 }
 
-// Key returns the canonical memoization key.
+// Key returns the canonical memoization key: the normalized request's
+// fields, built on the stack, so the returned string is its one
+// allocation.
 func (r ModelRequest) Key() string {
-	r = r.Normalize()
+	r = r.withSizeDefaults()
+	pds, p1, p1s2 := r.probabilities()
 	var buf [160]byte
 	b := strconv.AppendInt(append(buf[:0], "model|banks="...), int64(r.Banks), 10)
 	b = strconv.AppendInt(append(b, ",tm="...), int64(r.Tm), 10)
 	b = strconv.AppendInt(append(b, ",b="...), int64(r.B), 10)
 	b = strconv.AppendInt(append(b, ",r="...), int64(r.R), 10)
-	b = strconv.AppendFloat(append(b, ",pds="...), *r.Pds, 'g', -1, 64)
-	b = strconv.AppendFloat(append(b, ",p1="...), *r.P1, 'g', -1, 64)
-	b = strconv.AppendFloat(append(b, ",p1s2="...), *r.P1S2, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",pds="...), pds, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",p1="...), p1, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",p1s2="...), p1s2, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, ",n="...), int64(r.N), 10)
 	b = strconv.AppendUint(append(b, ",c="...), uint64(r.C), 10)
 	return string(append(b, epochSuffix...))

@@ -148,3 +148,14 @@ func FuzzJobKey(f *testing.F) {
 		}
 	})
 }
+
+// TestModelKeyAllocs checks that a model key allocates only its string,
+// whether its probabilities are defaulted or given.
+func TestModelKeyAllocs(t *testing.T) {
+	pds, p1 := 0.2, 0.6
+	for _, r := range []ModelRequest{{}, {Banks: 64, Tm: 64, B: 4096, Pds: &pds, P1: &p1, P1S2: &p1}} {
+		if a := testing.AllocsPerRun(100, func() { _ = r.Key() }); a != 1 {
+			t.Errorf("ModelRequest%+v.Key() allocates %v times, want 1", r, a)
+		}
+	}
+}

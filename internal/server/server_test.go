@@ -159,6 +159,25 @@ func TestModelEndpoint(t *testing.T) {
 	}
 }
 
+// TestModelDefaults checks that an empty model request is answered
+// with every documented default echoed back.
+func TestModelDefaults(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v1/model", struct{}{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got ModelResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Banks != 64 || got.Tm != 32 || got.B != 4096 || got.R != 4096 ||
+		got.Pds != 0.25 || got.P1 != 0.25 || got.P1S2 != 0.25 || got.N != 1<<20 || got.C != 13 {
+		t.Errorf("defaults echoed as banks=%d tm=%d b=%d r=%d pds=%v p1=%v p1s2=%v n=%d c=%d",
+			got.Banks, got.Tm, got.B, got.R, got.Pds, got.P1, got.P1S2, got.N, got.C)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cases := []struct {
@@ -179,6 +198,7 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/simulate", `not json`, CodeInvalidRequest},
 		{"/v1/model", `{"banks":63}`, CodeInvalidRequest},
 		{"/v1/model", `{"pds":1.5}`, CodeInvalidRequest},
+		{"/v1/model", `{"pds":-0.5}`, CodeInvalidRequest},
 		{"/v1/sweep", `{"jobs":[]}`, CodeInvalidRequest},
 		{"/v1/sweep", `{"jobs":[{}]}`, CodeInvalidRequest},
 		{"/v1/sweep", `{"jobs":[{"simulate":{},"model":{}}]}`, CodeInvalidRequest},
