@@ -1,5 +1,7 @@
 package cache
 
+import "sync"
+
 // Batched execution. Cache, SkewedCache and VictimCache each write their
 // hit, miss, eviction and classification logic once, in AccessBatch;
 // their Access is a batch of one over stack arrays. PrefetchCache is
@@ -31,9 +33,28 @@ package cache
 // since the lines all fit), no seen flag and no evictor, and a Random
 // cache draws from its source only on a miss. What remains is the
 // hit path's counters and the clock, which RepeatPass adds in O(1).
-// TestRepeatPassMatchesUnrolled and FuzzRepeatPass check that a folded
-// replay leaves the same Stats and answers later references as an
-// unrolled one does.
+//
+// A pass that evicts folds too, from the second run of the references
+// on, in a cache whose sets are LRU stacks: a Cache under LRU, or of
+// one way, with no Random source. Whether a reference hits, its 3C
+// kind (the shadow is an LRU stack too) and the stream that evicted its
+// line depend only on the references made since that line was last
+// used (the LRU stack-distance view). Every line of the pass was used
+// in the run before, so from the second run on that window is the same
+// in every run, and so is each run's delta; which lines a set holds and
+// in what recency order is the same at every boundary. That argument
+// does not say which way a line sits in: a miss fills the way its
+// victim left, so a set that cycles d lines through W ways rotates by d
+// mod W ways each run, and later Results name other ways. A cache of
+// more than one way therefore also requires every frame to hold the
+// line it held at the previous boundary, which it compares with a
+// pooled snapshot taken there. A victim cache folds when its main array
+// does and its buffer holds the same lines in the same order as at the
+// previous boundary.
+//
+// TestRepeatPassMatchesUnrolled, TestRepeatPassSteadyState and
+// FuzzRepeatPass check that a folded replay leaves the same Stats and
+// answers later references as an unrolled one does.
 
 // BatchSim is implemented by organisations with a devirtualized batch
 // fast path. AccessBatch processes accs in order, exactly as len(accs)
@@ -42,16 +63,27 @@ package cache
 //
 // RepeatPass accounts for times more runs of the pass just completed
 // without running them, and reports whether it did. pass is the stats
-// delta of that pass, the simulator's most recent references, and each
-// run it stands for presents the same references in the same order.
-// An organisation accepts only when the outcome is exactly that of
-// running them: Cache, SkewedCache and VictimCache when the pass
-// evicted nothing; PrefetchCache never, since its hits issue
-// prefetches. A simulator that refuses is unchanged.
+// delta of that pass, the simulator's most recent references, which
+// have now run runs times in a row, and each run it stands for presents
+// the same references in the same order. An organisation accepts only
+// when the outcome is exactly that of running them. Every Cache,
+// SkewedCache and VictimCache accepts when the pass evicted nothing.
+// From runs 2 on, a Cache under LRU or of one way, with no Random
+// source, also accepts a pass that evicted, if it wrote nothing back,
+// stored nothing under write-back, and left every frame holding the
+// line it held at the previous boundary; a VictimCache accepts when its
+// main array does and its buffer is as it was at the previous boundary.
+// The previous boundary is the last call, which refused, one pass
+// earlier; a multi-way Cache compares only the second boundary with the
+// first, since a layout that moves in one steady pass moves in every
+// one. PrefetchCache never accepts, since its hits issue prefetches,
+// and SkewedCache, whose two hashed ways are not an LRU stack, accepts
+// only eviction-free passes. A simulator that refuses is unchanged but
+// for the snapshot it may keep for its next call.
 type BatchSim interface {
 	Sim
 	AccessBatch(accs []Access, out []Result)
-	RepeatPass(pass Stats, times uint64) bool
+	RepeatPass(pass Stats, times, runs uint64) bool
 }
 
 var (
@@ -92,4 +124,46 @@ func (st *Stats) repeatHits(pass Stats, times uint64) uint64 {
 	st.Reads += pass.Reads * times
 	st.Writes += pass.Writes * times
 	return n
+}
+
+// boundary is what a simulator recorded at a pass boundary where its
+// RepeatPass refused, for the next call to compare with. It comes from
+// boundaries and goes back once no later call of the replay will
+// compare with it, and on Flush, so no simulator keeps one past its
+// replay.
+type boundary struct {
+	clock  uint64      // the simulator's clock there
+	frames []int32     // Cache: each frame's node, -1 when invalid
+	parked []way       // VictimCache: the buffer's valid frames, oldest first
+	victim VictimStats // VictimCache: its counters there
+}
+
+var boundaries = sync.Pool{New: func() any { return new(boundary) }}
+
+// takeBoundary returns a boundary from the pool, to be filled in.
+func takeBoundary() *boundary { return boundaries.Get().(*boundary) }
+
+// dropBoundary returns *b, if any, to the pool and clears *b.
+func dropBoundary(b **boundary) {
+	if *b != nil {
+		boundaries.Put(*b)
+		*b = nil
+	}
+}
+
+// addRuns adds times runs of pass, a whole stats delta, to st.
+func (st *Stats) addRuns(pass Stats, times uint64) {
+	st.Accesses += pass.Accesses * times
+	st.Reads += pass.Reads * times
+	st.Writes += pass.Writes * times
+	st.Hits += pass.Hits * times
+	st.Misses += pass.Misses * times
+	st.Compulsory += pass.Compulsory * times
+	st.Capacity += pass.Capacity * times
+	st.Conflict += pass.Conflict * times
+	st.SelfInterference += pass.SelfInterference * times
+	st.CrossInterference += pass.CrossInterference * times
+	st.Evictions += pass.Evictions * times
+	st.Writebacks += pass.Writebacks * times
+	st.MemoryWrites += pass.MemoryWrites * times
 }

@@ -160,7 +160,10 @@ func TestAccessBatchPrefetch(t *testing.T) {
 // organisation and for a PrefetchCache. An allocation per call here means
 // the one-element arrays escaped to the heap. It then proves that a warm
 // cache is reused without allocating: Flush followed by a replay round
-// allocates nothing, so Flush kept every table's capacity.
+// allocates nothing, so Flush kept every table's capacity. Last, a
+// 4-pass all-miss replay on an LRU 4-way and a fully-associative cache,
+// which fold at runs 2 with a snapshot of their frames, allocates no
+// more than any other replay: the snapshot comes from a pool.
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	// Two streams, a conflict-heavy stride-512 sweep and a unit-stride
 	// sweep with stores, so the hit, miss and eviction paths all run.
@@ -224,6 +227,42 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 	// nor the Random policy; these do.
 	for _, name := range extraNames {
 		t.Run(name, func(t *testing.T) { checkSpec(t, reuseSpecs[name]) })
+	}
+	for _, c := range []struct {
+		name   string
+		spec   cache.Spec
+		stride int64
+		n      int
+	}{
+		{"assoc-steady", cache.Spec{Kind: "assoc", Lines: 64, Ways: 4}, 16, 8},
+		{"full-steady", cache.Spec{Kind: "full", Lines: 16}, 1, 32},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim, err := c.spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy := &foldSpy{BatchSim: sim.(cache.BatchSim), folds: make([]fold, 0, 4)}
+			p := trace.Pattern{Name: "strided", Stride: c.stride, N: c.n, Stream: 1}
+			// Under the race detector sync.Pool drops a quarter of its
+			// Puts, and a dropped boundary or chunk buffer is allocated
+			// anew by the next replay: about 0.75 allocations a replay
+			// on average, which 1000 runs keep below the one more that
+			// AllocsPerRun's whole-number mean would report.
+			allocs := testing.AllocsPerRun(1000, func() {
+				sim.Flush()
+				spy.folds = spy.folds[:0]
+				if _, err := trace.ReplayPattern(spy, p, 4); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(spy.folds) != 1 || spy.folds[0].runs != 2 || sim.Stats().Hits != 0 {
+				t.Fatalf("%s: folds %+v, stats %v; want an all-miss replay folded at runs 2", sim.Describe(), spy.folds, sim.Stats())
+			}
+			if allocs > 1 {
+				t.Fatalf("%s: Flush and a folded replay allocate %v times, want at most 1 (the cursor)", sim.Describe(), allocs)
+			}
+		})
 	}
 	t.Run("prefetch", func(t *testing.T) {
 		base, err := cache.NewDirect(256)

@@ -52,6 +52,14 @@ type way struct {
 	node       int32 // the line's history node
 }
 
+// key names what w holds: its line's node, or -1 when it is invalid.
+func (w *way) key() int32 {
+	if w.valid {
+		return w.node
+	}
+	return -1
+}
+
 // fill makes w a valid frame holding line. It assigns field by field: a
 // composite literal is built on the stack with narrow stores and copied
 // out with wide loads, which the processor cannot forward, and that
@@ -95,6 +103,8 @@ type Cache struct {
 	prefetchWasted uint64 // prefetched lines evicted before demand touch
 
 	scratch []int // AccessBatch set-index buffer, reused across batches
+
+	last *boundary // the frames at the last boundary RepeatPass refused; nil after its replay
 }
 
 // wideWays is the associativity from which a set is found through the
@@ -181,6 +191,7 @@ func (c *Cache) Flush() {
 	c.stats = Stats{}
 	c.prefetchWasted = 0
 	c.hist.reset()
+	dropBoundary(&c.last)
 }
 
 // LineAddr returns the line address of a byte address under this cache's
@@ -391,21 +402,74 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 	c.clock = clock
 }
 
-// RepeatPass implements BatchSim: once a pass evicts nothing, each run
+// RepeatPass implements BatchSim. Once a pass evicts nothing, each run
 // of it hits on every reference, and a store hit reaches memory only
 // under write-through (a write-back line the pass stored to is dirty
-// already). Stamps are not rewritten: the pass restamped its lines
-// after every older one, in the order a rerun would, so the advanced
-// clock keeps every comparison of stamps the same.
-func (c *Cache) RepeatPass(pass Stats, times uint64) bool {
-	if pass.Evictions != 0 {
+// already). A pass that evicted is a whole delta to repeat, when
+// steady says the cache is in steady state. Either way stamps are not
+// rewritten: the pass restamped its lines after every older one, in the
+// order a rerun would, so the advanced clock keeps every comparison of
+// stamps the same.
+func (c *Cache) RepeatPass(pass Stats, times, runs uint64) bool {
+	switch {
+	case pass.Evictions == 0:
+		c.clock += c.stats.repeatHits(pass, times)
+		if !c.cfg.WriteBack {
+			c.stats.MemoryWrites += pass.Writes * times
+		}
+	case c.steady(pass, times, runs):
+		c.stats.addRuns(pass, times)
+		c.clock += pass.Accesses * times
+	default:
 		return false
 	}
-	c.clock += c.stats.repeatHits(pass, times)
-	if !c.cfg.WriteBack {
-		c.stats.MemoryWrites += pass.Writes * times
-	}
+	dropBoundary(&c.last)
 	return true
+}
+
+// steady reports whether the pass just completed, which evicted, is in
+// steady state by BatchSim's rule. A multi-way cache records its frames
+// at the first boundary and compares them at the second only: from the
+// first boundary on, every pass starts from the same lines in the same
+// recency order, so each moves the frames among those ranks the same
+// way, and a layout that moved in pass 2 moves in every later pass. The
+// record is made when at least two passes remain and the cache has at
+// most 8 frames per reference of the pass: copying and comparing a
+// frame costs a small fraction of simulating a reference, so the record
+// costs less than the pass it may save. A larger cache replays every
+// pass, as before this fold.
+func (c *Cache) steady(pass Stats, times, runs uint64) bool {
+	stack := c.rng == nil && (c.cfg.Policy == LRU || c.cfg.Ways == 1) &&
+		!(c.cfg.WriteBack && pass.Writes != 0)
+	if stack && c.cfg.Ways == 1 {
+		return runs >= 2 && pass.Writebacks == 0
+	}
+	b := c.last
+	switch {
+	case !stack:
+	case runs == 1 && times >= 2 && uint64(len(c.frames)) <= 8*pass.Accesses:
+		if b == nil {
+			b = takeBoundary()
+			c.last = b
+		}
+		if cap(b.frames) < len(c.frames) {
+			b.frames = make([]int32, len(c.frames))
+		}
+		b.clock, b.frames = c.clock, b.frames[:len(c.frames)]
+		for i := range c.frames {
+			b.frames[i] = c.frames[i].key()
+		}
+		return false
+	case runs == 2 && pass.Writebacks == 0 && b != nil && b.clock+pass.Accesses == c.clock:
+		same := true
+		for i := 0; same && i < len(b.frames); i++ {
+			same = b.frames[i] == c.frames[i].key()
+		}
+		dropBoundary(&c.last)
+		return same
+	}
+	dropBoundary(&c.last)
+	return false
 }
 
 // evict accounts for frame e's valid line leaving the cache for a

@@ -176,7 +176,7 @@ func (p *PrefetchCache) AccessBatch(accs []Access, out []Result) {
 // RepeatPass implements BatchSim and always refuses: a demand hit can
 // issue prefetches, whose fills can evict lines the next pass needs,
 // and the wrapped cache's Stats do not count those evictions.
-func (p *PrefetchCache) RepeatPass(Stats, uint64) bool { return false }
+func (p *PrefetchCache) RepeatPass(Stats, uint64, uint64) bool { return false }
 
 // install fills line into the wrapped cache for stream unless it is
 // resident, marking the frame prefetched, as AccessBatch's miss path

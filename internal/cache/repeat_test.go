@@ -3,6 +3,7 @@ package cache_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -11,17 +12,21 @@ import (
 	"primecache/internal/trace"
 )
 
-// foldSpy passes everything to the simulator it wraps and records the
-// times of every RepeatPass that simulator accepts.
+// foldSpy passes everything to the simulator it wraps and records
+// every RepeatPass that simulator accepts.
 type foldSpy struct {
 	cache.BatchSim
-	folds []uint64
+	folds []fold
 }
 
-func (s *foldSpy) RepeatPass(pass cache.Stats, times uint64) bool {
-	ok := s.BatchSim.RepeatPass(pass, times)
+// fold is one accepted RepeatPass: the passes it stood for, and the
+// runs of the references it was told of.
+type fold struct{ times, runs uint64 }
+
+func (s *foldSpy) RepeatPass(pass cache.Stats, times, runs uint64) bool {
+	ok := s.BatchSim.RepeatPass(pass, times, runs)
 	if ok {
-		s.folds = append(s.folds, times)
+		s.folds = append(s.folds, fold{times, runs})
 	}
 	return ok
 }
@@ -29,8 +34,8 @@ func (s *foldSpy) RepeatPass(pass cache.Stats, times uint64) bool {
 // folded returns the passes s accepted in all.
 func (s *foldSpy) folded() uint64 {
 	var n uint64
-	for _, t := range s.folds {
-		n += t
+	for _, f := range s.folds {
+		n += f.times
 	}
 	return n
 }
@@ -75,8 +80,9 @@ func (fc foldCase) compare(t *testing.T, what string, folded *foldSpy, unrolled 
 
 // pattern replays fc.passes passes of p through a simulator built by mk
 // in one trace.ReplayPattern call, and through another in one call per
-// pass, and compares them. It returns the passes the first folded.
-func (fc foldCase) pattern(t *testing.T, mk func() cache.Sim, p trace.Pattern) uint64 {
+// pass, and compares them. It returns the first, and the stats of its
+// replay.
+func (fc foldCase) pattern(t *testing.T, mk func() cache.Sim, p trace.Pattern) (*foldSpy, cache.Stats) {
 	t.Helper()
 	folded, unrolled := &foldSpy{BatchSim: mk().(cache.BatchSim)}, mk()
 	replay(folded, fc.prologue)
@@ -98,33 +104,49 @@ func (fc foldCase) pattern(t *testing.T, mk func() cache.Sim, p trace.Pattern) u
 			p, unrolled.Describe(), fc.passes, folded.folds, got, want)
 	}
 	fc.compare(t, p.String(), folded, unrolled)
-	return folded.folded()
+	return folded, got
 }
 
 // accesses is pattern for passes of accs, which may store, as no
-// Pattern does: the folded simulator runs accs once and is asked to
-// repeat that pass for the rest, running them itself when it refuses.
-func (fc foldCase) accesses(t *testing.T, mk func() cache.Sim, accs []cache.Access) {
+// Pattern does: the folded simulator runs accs and, after each run but
+// the last, is asked to repeat that pass for the rest, as
+// trace.ReplayPattern asks. It returns the folded simulator.
+func (fc foldCase) accesses(t *testing.T, mk func() cache.Sim, accs []cache.Access) *foldSpy {
 	t.Helper()
 	folded, unrolled := &foldSpy{BatchSim: mk().(cache.BatchSim)}, mk()
 	replay(folded, fc.prologue)
 	replay(unrolled, fc.prologue)
-	before := folded.Stats()
-	cache.AccessBatch(folded, accs, nil)
-	pass := folded.Stats()
-	pass.Accesses -= before.Accesses
-	pass.Reads -= before.Reads
-	pass.Writes -= before.Writes
-	pass.Evictions -= before.Evictions
-	if rest := fc.passes - 1; rest > 0 && !folded.RepeatPass(pass, uint64(rest)) {
-		for i := 0; i < rest; i++ {
-			cache.AccessBatch(folded, accs, nil)
+	for run := 1; run <= fc.passes; run++ {
+		before := folded.Stats()
+		cache.AccessBatch(folded, accs, nil)
+		if rest := fc.passes - run; rest > 0 && folded.RepeatPass(statsDelta(folded.Stats(), before), uint64(rest), uint64(run)) {
+			break
 		}
 	}
 	for i := 0; i < fc.passes; i++ {
 		cache.AccessBatch(unrolled, accs, nil)
 	}
-	fc.compare(t, fmt.Sprintf("%d references with stores", len(accs)), folded, unrolled)
+	fc.compare(t, fmt.Sprintf("a pass of %d references", len(accs)), folded, unrolled)
+	return folded
+}
+
+// statsDelta returns every counter of after less before.
+func statsDelta(after, before cache.Stats) cache.Stats {
+	return cache.Stats{
+		Accesses:          after.Accesses - before.Accesses,
+		Reads:             after.Reads - before.Reads,
+		Writes:            after.Writes - before.Writes,
+		Hits:              after.Hits - before.Hits,
+		Misses:            after.Misses - before.Misses,
+		Compulsory:        after.Compulsory - before.Compulsory,
+		Capacity:          after.Capacity - before.Capacity,
+		Conflict:          after.Conflict - before.Conflict,
+		SelfInterference:  after.SelfInterference - before.SelfInterference,
+		CrossInterference: after.CrossInterference - before.CrossInterference,
+		Evictions:         after.Evictions - before.Evictions,
+		Writebacks:        after.Writebacks - before.Writebacks,
+		MemoryWrites:      after.MemoryWrites - before.MemoryWrites,
+	}
 }
 
 // repeatSims builds, by name, every organisation the fold is checked
@@ -168,7 +190,8 @@ func isPrefetch(name string) bool { return name == "prefetch" || name == "prefet
 
 // TestRepeatPassMatchesUnrolled proves the replay fold exact: for every
 // organisation of repeatSims, a multi-pass trace.ReplayPattern, which
-// folds the passes after one that evicts nothing, leaves the Stats, the
+// folds the passes after one that evicts nothing or once an LRU cache
+// is in steady state, leaves the Stats, the
 // victim buffer's and the prefetcher's counters, and the Results of
 // later references that one-pass replays give. Half the patterns are
 // the oracle generator's, which mostly overflow these caches, and half
@@ -197,7 +220,8 @@ func TestRepeatPassMatchesUnrolled(t *testing.T) {
 				if trial%2 == 1 {
 					p = shortSweep(rng)
 				}
-				folds += fc.pattern(t, sims[name], p)
+				spy, _ := fc.pattern(t, sims[name], p)
+				folds += spy.folded()
 				fc.accesses(t, sims[name], genAccesses(g, 1+rng.Intn(48)))
 			}
 			switch {
@@ -225,8 +249,8 @@ func TestRepeatPassMatchesUnrolled(t *testing.T) {
 			}
 			return c
 		}
-		if folds := fc.pattern(t, mk, trace.Pattern{Name: "strided", Stride: 1, N: 8, Stream: 1}); folds != 3 {
-			t.Fatalf("folded %d passes, want the 3 after pass 2", folds)
+		if spy, _ := fc.pattern(t, mk, trace.Pattern{Name: "strided", Stride: 1, N: 8, Stream: 1}); spy.folded() != 3 {
+			t.Fatalf("folded %d passes, want the 3 after pass 2", spy.folded())
 		}
 	})
 
@@ -254,17 +278,169 @@ func TestRepeatPassMatchesUnrolled(t *testing.T) {
 	})
 }
 
+// sweepAccesses is every reference of one pass of p, twice over, and
+// then n references drawn from g: a follow-up that revisits the lines
+// the replay left, so a frame layout that differs shows in the Ways.
+func sweepAccesses(t *testing.T, p trace.Pattern, g *oracle.Gen, n int) []cache.Access {
+	t.Helper()
+	tr, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accs []cache.Access
+	for range 2 {
+		for _, r := range tr {
+			accs = append(accs, cache.Access{Addr: r.Addr, Write: r.Write, Stream: r.Stream})
+		}
+	}
+	return append(accs, genAccesses(g, n)...)
+}
+
+// sweepSim is a named organisation and a strided sweep that evicts on
+// every pass through it.
+type sweepSim struct {
+	name   string
+	mk     func() (cache.Sim, error)
+	stride int64
+	n      int
+}
+
+// TestRepeatPassSteadyState checks the fold of passes that evict. Four
+// passes of a sweep that misses on every reference fold at runs 2, the
+// last two passes at once, on every organisation whose sets are LRU
+// stacks and whose frames the sweep leaves as they were: direct- and
+// prime-mapped caches, a 4-way LRU cache cycling a multiple of 4 lines
+// through one set, a wide fully-associative cache, a prime-mapped
+// 2-way cache and a victim cache. FIFO, Random, skewed and prefetching
+// caches refuse every run, as does an LRU set cycling 3 lines through 2
+// ways, whose layout rotates by a way each pass. So do a write-back
+// pass that stores, and a pass that writes back a line a prologue
+// dirtied. Every case must match the unrolled replay.
+func TestRepeatPassSteadyState(t *testing.T) {
+	g := oracle.NewGen(batchSeed + 29)
+	lru := func(lines, ways int, policy cache.Policy) func() (cache.Sim, error) {
+		return func() (cache.Sim, error) { return cache.NewSetAssoc(lines, ways, policy) }
+	}
+	folding := []sweepSim{
+		{"direct", func() (cache.Sim, error) { return cache.NewDirect(16) }, 16, 2},
+		{"prime", func() (cache.Sim, error) { return cache.NewPrime(5) }, 31, 2},
+		{"assoc", lru(64, 4, cache.LRU), 16, 8},
+		{"full", func() (cache.Sim, error) { return cache.NewFullyAssoc(16) }, 1, 32},
+		{"prime-assoc", func() (cache.Sim, error) { return cache.NewPrimeAssoc(3, 2) }, 7, 4},
+		{"victim", func() (cache.Sim, error) { return cache.NewVictim(16, 2) }, 16, 8},
+	}
+	refusing := []sweepSim{
+		{"fifo", lru(64, 4, cache.FIFO), 16, 8},
+		{"random", func() (cache.Sim, error) {
+			m, err := cache.NewDirectMapper(16)
+			if err != nil {
+				return nil, err
+			}
+			return cache.New(cache.Config{Mapper: m, Ways: 4, Policy: cache.Random, Seed: 7})
+		}, 16, 8},
+		{"skewed", func() (cache.Sim, error) { return cache.NewSkewed(8) }, 1, 16},
+		{"prefetch", func() (cache.Sim, error) { return newReusePrefetch(t), nil }, 16, 2},
+		{"rotating", lru(2, 2, cache.LRU), 1, 3},
+	}
+	run := func(t *testing.T, c sweepSim) (*foldSpy, cache.Stats) {
+		t.Helper()
+		mk := func() cache.Sim {
+			sim, err := c.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		}
+		p := trace.Pattern{Name: "strided", Start: 1 << 10, Stride: c.stride, N: c.n, Stream: 1}
+		fc := foldCase{passes: 4, follow: sweepAccesses(t, p, g, 64)}
+		return fc.pattern(t, mk, p)
+	}
+	for _, c := range folding {
+		t.Run("fold/"+c.name, func(t *testing.T) {
+			spy, st := run(t, c)
+			if st.Hits != 0 {
+				t.Fatalf("the sweep hit %d times; want every reference to miss", st.Hits)
+			}
+			if want := []fold{{times: 2, runs: 2}}; !reflect.DeepEqual(spy.folds, want) {
+				t.Fatalf("folds %+v, want %+v", spy.folds, want)
+			}
+		})
+	}
+	for _, c := range refusing {
+		t.Run("refuse/"+c.name, func(t *testing.T) {
+			spy, st := run(t, c)
+			if st.Evictions < 4 {
+				t.Fatalf("%d evictions in 4 passes; want some in every pass", st.Evictions)
+			}
+			if len(spy.folds) != 0 {
+				t.Fatalf("folded %+v", spy.folds)
+			}
+		})
+	}
+
+	// FIFO is not a stack algorithm, and a layout that repeats does not
+	// make it steady: one set of 2 ways cycling this pass holds the same
+	// frames after passes 1 and 2, yet pass 2 hits twice and pass 3
+	// three times.
+	t.Run("refuse/fifo-alternating", func(t *testing.T) {
+		var accs []cache.Access
+		for _, l := range []uint64{1, 4, 1, 3, 1, 2, 1} {
+			accs = append(accs, lineAccess(l))
+		}
+		fc := foldCase{passes: 4, follow: accs}
+		mk := func() cache.Sim {
+			c, err := cache.NewSetAssoc(2, 2, cache.FIFO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		if spy := fc.accesses(t, mk, accs); len(spy.folds) != 0 {
+			t.Fatalf("folded %+v", spy.folds)
+		}
+	})
+
+	// One set of 2 ways under write-back, through RepeatPass directly.
+	// A pass that stores to each of 4 lines evicts and writes back on
+	// every run. After a prologue that dirties x, a pass of [a, x, b]
+	// writes x back in pass 2 and never again.
+	writeBack := func() cache.Sim {
+		m, err := cache.NewModuloMapper(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cache.MustNew(cache.Config{Mapper: m, Ways: 2, WriteBack: true})
+	}
+	store := func(l uint64) cache.Access { a := lineAccess(l); a.Write = true; return a }
+	t.Run("refuse/write-back-stores", func(t *testing.T) {
+		fc := foldCase{passes: 4, follow: []cache.Access{lineAccess(1), lineAccess(2), lineAccess(3), lineAccess(4)}}
+		if spy := fc.accesses(t, writeBack, []cache.Access{store(1), store(2), store(3), store(4)}); len(spy.folds) != 0 {
+			t.Fatalf("folded %+v", spy.folds)
+		}
+	})
+	t.Run("refuse/dirty-prologue", func(t *testing.T) {
+		const a, x, b = 1, 2, 3
+		fc := foldCase{passes: 4, prologue: []cache.Access{store(x)},
+			follow: []cache.Access{lineAccess(a), lineAccess(x), lineAccess(b), lineAccess(a)}}
+		if spy := fc.accesses(t, writeBack, []cache.Access{lineAccess(a), lineAccess(x), lineAccess(b)}); len(spy.folds) != 0 {
+			t.Fatalf("folded %+v", spy.folds)
+		}
+	})
+}
+
 // FuzzRepeatPass is TestRepeatPassMatchesUnrolled's comparison on a
 // fuzzer-chosen organisation (a seeded Spec of any kind, or a
-// sequential prefetcher), pattern and pass count.
+// sequential prefetcher), pattern and pass count, after a prologue of
+// up to 127 generated references, stores among them, so that folds
+// from a warm, dirty cache are fuzzed too.
 func FuzzRepeatPass(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint16(0), int16(1), uint16(16), uint8(4))
-	f.Add(int64(2), uint8(3), uint8(0), uint16(40), int16(-3), uint16(12), uint8(3))
-	f.Add(int64(3), uint8(5), uint8(2), uint16(7), int16(9), uint16(4), uint8(5))
-	f.Add(int64(4), uint8(6), uint8(1), uint16(100), int16(31), uint16(30), uint8(2))
-	f.Add(int64(5), uint8(7), uint8(0), uint16(0), int16(15), uint16(2), uint8(4))
-	f.Add(int64(6), uint8(2), uint8(4), uint16(3), int16(8), uint16(64), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, kindSel, shape uint8, start uint16, stride int16, n uint16, passes uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint16(0), int16(1), uint16(16), uint8(4), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(0), uint16(40), int16(-3), uint16(12), uint8(3), uint8(24))
+	f.Add(int64(3), uint8(5), uint8(2), uint16(7), int16(9), uint16(4), uint8(5), uint8(0))
+	f.Add(int64(4), uint8(6), uint8(1), uint16(100), int16(31), uint16(30), uint8(2), uint8(64))
+	f.Add(int64(5), uint8(7), uint8(0), uint16(0), int16(15), uint16(2), uint8(4), uint8(0))
+	f.Add(int64(6), uint8(2), uint8(4), uint16(3), int16(8), uint16(64), uint8(6), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, kindSel, shape uint8, start uint16, stride int16, n uint16, passes, prologue uint8) {
 		kinds := cache.SpecKinds()
 		g := oracle.NewGen(seed)
 		mk := func() cache.Sim { return newReusePrefetch(t) }
@@ -299,6 +475,9 @@ func FuzzRepeatPass(f *testing.F) {
 			t.Skip()
 		}
 		fc := foldCase{passes: 1 + int(passes)%6, follow: genAccesses(g, 128)}
+		if size := int(prologue) % 128; size > 0 {
+			fc.prologue = genAccesses(g, size)
+		}
 		fc.pattern(t, mk, p)
 	})
 }

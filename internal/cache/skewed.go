@@ -139,10 +139,13 @@ func (s *SkewedCache) AccessBatch(accs []Access, out []Result) {
 	s.clock = clock
 }
 
-// RepeatPass implements BatchSim as Cache's does: a pass that evicted
-// nothing is rerun as all hits. The skewed cache counts no memory
-// writes.
-func (s *SkewedCache) RepeatPass(pass Stats, times uint64) bool {
+// RepeatPass implements BatchSim as Cache's does for a pass that
+// evicted nothing: it is rerun as all hits. The skewed cache counts no
+// memory writes. A pass that evicted is never folded, whatever runs
+// says: a line's two candidate frames lie in different sets of the two
+// ways, so the cache is not an LRU stack, and whether a reference hits
+// depends on more than the references since its line's last use.
+func (s *SkewedCache) RepeatPass(pass Stats, times, _ uint64) bool {
 	if pass.Evictions != 0 {
 		return false
 	}

@@ -89,21 +89,7 @@ func (s Stats) InterferenceRatio() float64 {
 }
 
 // Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Compulsory += o.Compulsory
-	s.Capacity += o.Capacity
-	s.Conflict += o.Conflict
-	s.SelfInterference += o.SelfInterference
-	s.CrossInterference += o.CrossInterference
-	s.Evictions += o.Evictions
-	s.Writebacks += o.Writebacks
-	s.MemoryWrites += o.MemoryWrites
-}
+func (s *Stats) Add(o Stats) { s.addRuns(o, 1) }
 
 // String implements fmt.Stringer with a one-line summary.
 func (s Stats) String() string {

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // VictimCache is a direct-mapped cache backed by a small fully-associative
 // victim buffer (Jouppi 1990) — the third contemporary fix for conflict
@@ -17,6 +21,8 @@ type VictimCache struct {
 	misses uint64 // true misses (both levels)
 
 	scratch []Result // AccessBatch main-array results, reused across batches
+
+	last *boundary // the buffer at the last boundary RepeatPass refused; nil after its replay
 }
 
 // NewVictim returns a direct-mapped cache of lines lines with a
@@ -122,13 +128,72 @@ func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
 // RepeatPass implements BatchSim: pass is the main array's delta, as
 // Stats reports it. A pass the main array ran without evicting is
 // rerun as all main-array hits, which never reach the buffer, so only
-// the buffer's clock moves.
-func (v *VictimCache) RepeatPass(pass Stats, times uint64) bool {
-	if !v.main.RepeatPass(pass, times) {
+// the buffer's clock moves. A pass that evicted folds when the main
+// array folds it and the buffer holds the same lines in the same stamp
+// order as at the previous boundary, one pass earlier: the buffer never
+// changes the main array, so each run then parks and takes the same
+// lines and adds the swap hits and true misses the pass did. Where the
+// lines sit in the buffer does not matter: it is searched by line, and
+// its victim is the least stamp. As Cache's, the record for the next
+// boundary is kept only when it costs less than the pass.
+func (v *VictimCache) RepeatPass(pass Stats, times, runs uint64) bool {
+	switch {
+	case pass.Evictions == 0:
+		v.main.RepeatPass(pass, times, runs) // accepts: nothing was evicted
+	case v.steady(pass, runs) && v.main.RepeatPass(pass, times, runs):
+		b := v.last
+		v.hits += (v.hits - b.victim.SwapHits) * times
+		v.misses += (v.misses - b.victim.TrueMisses) * times
+	case times < 2 || uint64(len(v.buf)) > 8*pass.Accesses:
+		dropBoundary(&v.last)
+		return false
+	default:
+		if v.last == nil {
+			v.last = takeBoundary()
+		}
+		b := v.last
+		b.clock, b.victim = v.clock, v.VictimStats()
+		b.parked = appendByStamp(b.parked[:0], v.buf)
 		return false
 	}
 	v.clock += pass.Accesses * times
+	dropBoundary(&v.last)
 	return true
+}
+
+// steady reports whether the buffer holds the lines it held at the
+// boundary recorded one pass ago, in the same stamp order.
+func (v *VictimCache) steady(pass Stats, runs uint64) bool {
+	b := v.last
+	if runs < 2 || b == nil || b.clock+pass.Accesses != v.clock {
+		return false
+	}
+	old := len(b.parked)
+	all := appendByStamp(b.parked, v.buf) // the current order, after the recorded one
+	b.parked = all[:old]
+	now := all[old:]
+	if len(now) != old {
+		return false
+	}
+	for i := range now {
+		if now[i].line != all[i].line {
+			return false
+		}
+	}
+	return true
+}
+
+// appendByStamp appends the valid frames of ws to dst, least stamp
+// first.
+func appendByStamp(dst []way, ws []way) []way {
+	n := len(dst)
+	for _, w := range ws {
+		if w.valid {
+			dst = append(dst, w)
+		}
+	}
+	slices.SortFunc(dst[n:], func(a, b way) int { return cmp.Compare(a.stamp, b.stamp) })
+	return dst
 }
 
 // take removes line from the buffer and reports whether it was there.
@@ -174,4 +239,5 @@ func (v *VictimCache) Flush() {
 	v.clock = 0
 	v.hits = 0
 	v.misses = 0
+	dropBoundary(&v.last)
 }

@@ -372,56 +372,102 @@ func bankConflictProperty() Property {
 // BatchSims and so run every pass: a multi-pass trace.ReplayPattern on
 // each organisation's fast simulator gives the statistics, victim
 // buffer counters and later per-access outcomes of the same replay on
-// its reference. Half the patterns are short sweeps, which the small
-// generated caches often hold whole, so that the fast side folds.
+// its reference. Each organisation replays two patterns. The first is
+// half the time a short sweep, which the small generated caches often
+// hold whole, so that the fast side folds after a pass that evicts
+// nothing, and otherwise the generator's, which mostly overflows them.
+// The second is a conflict sweep: its stride of 4096 words maps every
+// reference to one set of a power-of-two cache, so it evicts on every
+// pass and an LRU cache folds it in steady state. A round in which no
+// simulator folded a pass that evicted fails, so the cases cannot drift
+// away from that fold unnoticed.
 func replayPassesProperty() Property {
 	return Property{
 		Name:      "replay-passes-match-reference",
-		Statement: "a multi-pass pattern replay, which folds the passes after one that evicts nothing, equals the same replay on the reference simulator of every organisation",
+		Statement: "a multi-pass pattern replay, which folds the passes after one that evicts nothing or once an LRU cache is in steady state, equals the same replay on the reference simulator of every organisation",
 		Check: func(rng *rand.Rand) error {
 			g := &Gen{rng: rng}
+			steadyFolds := 0
 			for _, kind := range cache.SpecKinds() {
 				spec := g.SpecOfKind(kind)
-				p := g.Pattern()
+				p, passes := g.Pattern(), 2+rng.Intn(4)
 				if rng.Intn(2) == 0 {
 					p = trace.Pattern{Name: "strided", Start: uint64(64 + rng.Intn(1<<12)),
 						Stride: int64(1 + rng.Intn(8)), N: 1 + rng.Intn(48), Stream: 1 + rng.Intn(2)}
 				}
-				passes := 2 + rng.Intn(4)
-				fast, err := spec.Build()
-				if err != nil {
-					return err
-				}
-				ref, err := NewRefSim(spec)
-				if err != nil {
-					return err
-				}
-				got, err := trace.ReplayPattern(fast, p, passes)
-				if err != nil {
-					return err
-				}
-				want, err := trace.ReplayPattern(ref, p, passes)
-				if err != nil {
-					return err
-				}
-				if got != want {
-					return fmt.Errorf("spec %s, %s × %d passes:\n  fast %v\n  ref  %v", spec, p, passes, got, want)
-				}
-				if fv, ok := fast.(victimStatser); ok && fv.VictimStats() != ref.(victimStatser).VictimStats() {
-					return fmt.Errorf("spec %s, %s × %d passes: victim stats %+v, ref %+v",
-						spec, p, passes, fv.VictimStats(), ref.(victimStatser).VictimStats())
-				}
-				for i, r := range g.Trace(128) {
-					a := cache.Access{Addr: r.Addr, Write: r.Write, Stream: r.Stream}
-					if fr, rr := fast.Access(a), ref.Access(a); !sameResult(fr, rr) {
-						return fmt.Errorf("spec %s, %s × %d passes: later access %d (%+v): fast %+v, ref %+v",
-							spec, p, passes, i, a, fr, rr)
+				conflict := trace.Pattern{Name: "strided", Start: uint64(rng.Intn(1 << 12)),
+					Stride: 1 << 12, N: 2 + rng.Intn(256), Stream: 1 + rng.Intn(2)}
+				for _, c := range []struct {
+					p      trace.Pattern
+					passes int
+				}{{p, passes}, {conflict, 3 + rng.Intn(3)}} {
+					n, err := replayMatchesReference(g, spec, c.p, c.passes)
+					if err != nil {
+						return err
 					}
+					steadyFolds += n
 				}
+			}
+			if steadyFolds == 0 {
+				return fmt.Errorf("no simulator folded a pass that evicted, so the round did not check the steady-state fold")
 			}
 			return nil
 		},
 	}
+}
+
+// replayMatchesReference replays passes passes of p through spec's fast
+// simulator and its reference, compares them and then their answers to
+// a generated trace, and returns how many passes with evictions the
+// fast simulator folded.
+func replayMatchesReference(g *Gen, spec cache.Spec, p trace.Pattern, passes int) (int, error) {
+	fast, err := spec.Build()
+	if err != nil {
+		return 0, err
+	}
+	ref, err := NewRefSim(spec)
+	if err != nil {
+		return 0, err
+	}
+	spy := &foldCounter{BatchSim: fast.(cache.BatchSim)}
+	got, err := trace.ReplayPattern(spy, p, passes)
+	if err != nil {
+		return 0, err
+	}
+	want, err := trace.ReplayPattern(ref, p, passes)
+	if err != nil {
+		return 0, err
+	}
+	if got != want {
+		return 0, fmt.Errorf("spec %s, %s × %d passes:\n  fast %v\n  ref  %v", spec, p, passes, got, want)
+	}
+	if fv, ok := fast.(victimStatser); ok && fv.VictimStats() != ref.(victimStatser).VictimStats() {
+		return 0, fmt.Errorf("spec %s, %s × %d passes: victim stats %+v, ref %+v",
+			spec, p, passes, fv.VictimStats(), ref.(victimStatser).VictimStats())
+	}
+	for i, r := range g.Trace(128) {
+		a := cache.Access{Addr: r.Addr, Write: r.Write, Stream: r.Stream}
+		if fr, rr := fast.Access(a), ref.Access(a); !sameResult(fr, rr) {
+			return 0, fmt.Errorf("spec %s, %s × %d passes: later access %d (%+v): fast %+v, ref %+v",
+				spec, p, passes, i, a, fr, rr)
+		}
+	}
+	return spy.evicting, nil
+}
+
+// foldCounter passes everything to the simulator it wraps and counts
+// the passes with evictions whose repeats that simulator accepted.
+type foldCounter struct {
+	cache.BatchSim
+	evicting int
+}
+
+func (f *foldCounter) RepeatPass(pass cache.Stats, times, runs uint64) bool {
+	ok := f.BatchSim.RepeatPass(pass, times, runs)
+	if ok && pass.Evictions != 0 {
+		f.evicting++
+	}
+	return ok
 }
 
 // Properties returns the full default suite: the paper's mapper theorems

@@ -135,13 +135,16 @@ var replayBufs = sync.Pool{New: func() any { return new([replayChunk]cache.Acces
 // stats delta, never materialising the trace: peak memory is O(1) in
 // the pattern size. It is Replay for patterns too large to Build.
 //
-// Once a pass evicts nothing, every later pass hits on every
-// reference, and a cache.BatchSim that accepts RepeatPass for the
-// passes left accounts for them in O(1) instead of running them; the
-// Stats, and the simulator's answers to later references, are those
-// of running them (cache.BatchSim says which organisations accept). A
-// simulator that is not a BatchSim, such as the oracle's reference
-// models, runs every pass.
+// After each pass but the last, a cache.BatchSim is asked through
+// RepeatPass to account for the passes left without running them, and
+// the replay stops once it does. It accepts once a pass evicts nothing,
+// since every later pass then hits on every reference, and an LRU or
+// one-way cache also accepts a pass that evicted, from the second pass
+// on, once it is in steady state (cache.BatchSim says which
+// organisations accept when). The Stats, and the simulator's answers to
+// later references, are those of running every pass. A simulator that
+// is not a BatchSim, such as the oracle's reference models, runs every
+// pass.
 func ReplayPattern(c cache.Sim, p Pattern, passes int) (cache.Stats, error) {
 	stats, _, err := ReplayPatternContext(context.Background(), c, p, passes, 0)
 	return stats, err
@@ -155,7 +158,9 @@ func ReplayPattern(c cache.Sim, p Pattern, passes int) (cache.Stats, error) {
 // references completed, and ctx's error when it stopped early. Only
 // Err() is consulted — a caller may supply any Context whose Err()
 // flips, without a Done channel ever being selected on, so checkpoints
-// stay cheap.
+// stay cheap. Passes fold as ReplayPattern says: after pass k of p, a
+// cache.BatchSim is asked to repeat it for the passes left, with runs
+// k, since every pass presents the same references.
 func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes int, checkEvery int) (cache.Stats, uint64, error) {
 	cur, err := NewCursor(p)
 	if err != nil {
@@ -193,9 +198,10 @@ func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes in
 		if err := ctx.Err(); err != nil {
 			return diffStats(c.Stats(), before), refsDone, err
 		}
-		// The passes left fold into this one when it evicted nothing.
+		// The passes left fold into this one, the pass+1'th run of the
+		// references, when the simulator accepts them.
 		if rest := uint64(passes - pass - 1); rest > 0 && bs != nil &&
-			bs.RepeatPass(diffStats(c.Stats(), passStats), rest) {
+			bs.RepeatPass(diffStats(c.Stats(), passStats), rest, uint64(pass+1)) {
 			refsDone += rest * (refsDone - passRefs)
 			break
 		}

@@ -147,10 +147,10 @@ func (s *countingSim) AccessBatch(accs []cache.Access, _ []cache.Result) {
 	s.stats.Accesses += uint64(len(accs))
 }
 
-func (s *countingSim) RepeatPass(cache.Stats, uint64) bool { return false }
-func (s *countingSim) Stats() cache.Stats                  { return s.stats }
-func (s *countingSim) Describe() string                    { return "counter" }
-func (s *countingSim) Flush()                              { s.stats = cache.Stats{} }
+func (s *countingSim) RepeatPass(cache.Stats, uint64, uint64) bool { return false }
+func (s *countingSim) Stats() cache.Stats                          { return s.stats }
+func (s *countingSim) Describe() string                            { return "counter" }
+func (s *countingSim) Flush()                                      { s.stats = cache.Stats{} }
 
 // TestReplayPatternBoundedMemory is the point of the streaming path: a
 // 10^7-reference strided pass replays in O(1) memory. Materialising the

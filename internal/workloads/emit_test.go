@@ -121,10 +121,10 @@ func (r *batchRecorder) AccessBatch(accs []cache.Access, out []cache.Result) {
 	r.refs = append(r.refs, accs...)
 	r.batches = append(r.batches, len(accs))
 }
-func (r *batchRecorder) RepeatPass(cache.Stats, uint64) bool { return false }
-func (r *batchRecorder) Stats() cache.Stats                  { return cache.Stats{} }
-func (r *batchRecorder) Describe() string                    { return "recorder" }
-func (r *batchRecorder) Flush()                              {}
+func (r *batchRecorder) RepeatPass(cache.Stats, uint64, uint64) bool { return false }
+func (r *batchRecorder) Stats() cache.Stats                          { return cache.Stats{} }
+func (r *batchRecorder) Describe() string                            { return "recorder" }
+func (r *batchRecorder) Flush()                                      {}
 
 // simState is everything a simulator reports about a run.
 func simState(sim cache.Sim) string {
