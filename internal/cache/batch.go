@@ -48,9 +48,11 @@ import "sync"
 // mod W ways each run, and later Results name other ways. A cache of
 // more than one way therefore also requires every frame to hold the
 // line it held at the previous boundary, which it compares with a
-// pooled snapshot taken there. A victim cache folds when its main array
-// does and its buffer holds the same lines in the same order as at the
-// previous boundary.
+// pooled snapshot taken there; it takes one only when the cache is
+// small enough, against the pass and the passes a fold would save, for
+// the snapshot to cost less than they do (recordFrames). A victim cache
+// folds when its main array does and its buffer holds the same lines in
+// the same order as at the previous boundary, which it keeps in a field.
 //
 // TestRepeatPassMatchesUnrolled, TestRepeatPassSteadyState and
 // FuzzRepeatPass check that a folded replay leaves the same Stats and
@@ -126,16 +128,13 @@ func (st *Stats) repeatHits(pass Stats, times uint64) uint64 {
 	return n
 }
 
-// boundary is what a simulator recorded at a pass boundary where its
-// RepeatPass refused, for the next call to compare with. It comes from
-// boundaries and goes back once no later call of the replay will
-// compare with it, and on Flush, so no simulator keeps one past its
-// replay.
+// boundary is what a multi-way Cache recorded at a pass boundary where
+// its RepeatPass refused, for the next call to compare with. It comes
+// from boundaries and goes back once no later call of the replay will
+// compare with it, and on Flush, so no Cache keeps one past its replay.
 type boundary struct {
-	clock  uint64      // the simulator's clock there
-	frames []int32     // Cache: each frame's node, -1 when invalid
-	parked []way       // VictimCache: the buffer's valid frames, oldest first
-	victim VictimStats // VictimCache: its counters there
+	clock  uint64  // the cache's clock there
+	frames []int32 // each frame's node, -1 when invalid
 }
 
 var boundaries = sync.Pool{New: func() any { return new(boundary) }}

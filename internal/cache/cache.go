@@ -427,6 +427,18 @@ func (c *Cache) RepeatPass(pass Stats, times, runs uint64) bool {
 	return true
 }
 
+// recordFrames bounds the frames a multi-way Cache records per
+// reference of a pass and per pass the fold may save. Recording and
+// comparing cost about 2 ns a frame against 20 to 50 ns a simulated
+// reference, so a record that leads to a fold pays for itself up to
+// about 16 frames per reference per saved pass: in all-miss sweeps of a
+// 4-way cache of 8192 lines it won from 1 to 8 frames per reference at
+// 3 passes, to 32 at 4 and to 64 at 8, and lost from 16, 64 and 128. A
+// record whose compare refuses, a layout that rotates, is pure cost,
+// so the bound is half that crossover. BenchmarkSteadyRecord has a row
+// on each side.
+const recordFrames = 8
+
 // steady reports whether the pass just completed, which evicted, is in
 // steady state by BatchSim's rule. A multi-way cache records its frames
 // at the first boundary and compares them at the second only: from the
@@ -434,10 +446,8 @@ func (c *Cache) RepeatPass(pass Stats, times, runs uint64) bool {
 // recency order, so each moves the frames among those ranks the same
 // way, and a layout that moved in pass 2 moves in every later pass. The
 // record is made when at least two passes remain and the cache has at
-// most 8 frames per reference of the pass: copying and comparing a
-// frame costs a small fraction of simulating a reference, so the record
-// costs less than the pass it may save. A larger cache replays every
-// pass, as before this fold.
+// most recordFrames frames per reference of the pass and per pass a
+// fold at the second boundary would save.
 func (c *Cache) steady(pass Stats, times, runs uint64) bool {
 	stack := c.rng == nil && (c.cfg.Policy == LRU || c.cfg.Ways == 1) &&
 		!(c.cfg.WriteBack && pass.Writes != 0)
@@ -447,7 +457,7 @@ func (c *Cache) steady(pass Stats, times, runs uint64) bool {
 	b := c.last
 	switch {
 	case !stack:
-	case runs == 1 && times >= 2 && uint64(len(c.frames)) <= 8*pass.Accesses:
+	case runs == 1 && times >= 2 && uint64(len(c.frames)) <= recordFrames*(times-1)*pass.Accesses:
 		if b == nil {
 			b = takeBoundary()
 			c.last = b

@@ -341,6 +341,9 @@ func TestRepeatPassSteadyState(t *testing.T) {
 		{"skewed", func() (cache.Sim, error) { return cache.NewSkewed(8) }, 1, 16},
 		{"prefetch", func() (cache.Sim, error) { return newReusePrefetch(t), nil }, 16, 2},
 		{"rotating", lru(2, 2, cache.LRU), 1, 3},
+		// One set of 256 cycles 8 lines: 128 frames per reference, past
+		// the bound on recording the frames for a fold.
+		{"large-cache", lru(1024, 4, cache.LRU), 256, 8},
 	}
 	run := func(t *testing.T, c sweepSim) (*foldSpy, cache.Stats) {
 		t.Helper()
@@ -426,6 +429,50 @@ func TestRepeatPassSteadyState(t *testing.T) {
 			t.Fatalf("folded %+v", spy.folds)
 		}
 	})
+}
+
+// unfolded is a simulator whose RepeatPass refuses every pass, so a
+// replay through it runs them all.
+type unfolded struct{ cache.BatchSim }
+
+func (unfolded) RepeatPass(cache.Stats, uint64, uint64) bool { return false }
+
+// BenchmarkSteadyRecord replays 4 passes of an all-miss sweep, which
+// cycles 8 lines through each of some sets of a 4-way LRU cache of 8192
+// lines, on a flushed cache, at 8 and at 64 frames per reference of the
+// pass: one row on each side of the bound (16 at 4 passes) up to which
+// the cache records its frames at the first boundary and so may fold
+// from the second. Each steady row has an unrolled twin that replays
+// every pass.
+func BenchmarkSteadyRecord(b *testing.B) {
+	const lines, sets = 8192, 2048
+	for _, perRef := range []int{8, 64} {
+		// A stride of 2*perRef lines reaches sets/(2*perRef) sets, and 8
+		// lines in each make a pass of lines/perRef references.
+		p := trace.Pattern{Name: "strided", Stride: int64(2 * perRef), N: lines / perRef}
+		for _, row := range []struct {
+			name string
+			wrap func(cache.BatchSim) cache.Sim
+		}{
+			{"steady", func(s cache.BatchSim) cache.Sim { return s }},
+			{"unrolled", func(s cache.BatchSim) cache.Sim { return unfolded{s} }},
+		} {
+			b.Run(fmt.Sprintf("frames-per-ref=%d/%s", perRef, row.name), func(b *testing.B) {
+				c, err := cache.NewSetAssoc(lines, 4, cache.LRU)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sim := row.wrap(c)
+				for i := 0; i < b.N; i++ {
+					c.Flush()
+					if _, err := trace.ReplayPattern(sim, p, 4); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4*p.N), "ns/ref")
+			})
+		}
+	}
 }
 
 // FuzzRepeatPass is TestRepeatPassMatchesUnrolled's comparison on a

@@ -22,7 +22,17 @@ type VictimCache struct {
 
 	scratch []Result // AccessBatch main-array results, reused across batches
 
-	last *boundary // the buffer at the last boundary RepeatPass refused; nil after its replay
+	mark victimMark // the buffer at the last boundary RepeatPass refused
+}
+
+// victimMark is a VictimCache's buffer as RepeatPass recorded it at a
+// refused boundary, for the next call to compare with. The buffer is a
+// handful of lines, so the record is a field and its slice is reused.
+type victimMark struct {
+	ok     bool        // a record is held; cleared once the replay no longer needs it
+	clock  uint64      // the victim cache's clock there
+	parked []way       // the buffer's valid frames, oldest first
+	stats  VictimStats // the counters there
 }
 
 // NewVictim returns a direct-mapped cache of lines lines with a
@@ -134,43 +144,38 @@ func (v *VictimCache) AccessBatch(accs []Access, out []Result) {
 // changes the main array, so each run then parks and takes the same
 // lines and adds the swap hits and true misses the pass did. Where the
 // lines sit in the buffer does not matter: it is searched by line, and
-// its victim is the least stamp. As Cache's, the record for the next
-// boundary is kept only when it costs less than the pass.
+// its victim is the least stamp.
 func (v *VictimCache) RepeatPass(pass Stats, times, runs uint64) bool {
+	m := &v.mark
 	switch {
 	case pass.Evictions == 0:
 		v.main.RepeatPass(pass, times, runs) // accepts: nothing was evicted
 	case v.steady(pass, runs) && v.main.RepeatPass(pass, times, runs):
-		b := v.last
-		v.hits += (v.hits - b.victim.SwapHits) * times
-		v.misses += (v.misses - b.victim.TrueMisses) * times
-	case times < 2 || uint64(len(v.buf)) > 8*pass.Accesses:
-		dropBoundary(&v.last)
+		v.hits += (v.hits - m.stats.SwapHits) * times
+		v.misses += (v.misses - m.stats.TrueMisses) * times
+	case times < 2:
+		m.ok = false
 		return false
 	default:
-		if v.last == nil {
-			v.last = takeBoundary()
-		}
-		b := v.last
-		b.clock, b.victim = v.clock, v.VictimStats()
-		b.parked = appendByStamp(b.parked[:0], v.buf)
+		m.ok, m.clock, m.stats = true, v.clock, v.VictimStats()
+		m.parked = appendByStamp(m.parked[:0], v.buf)
 		return false
 	}
 	v.clock += pass.Accesses * times
-	dropBoundary(&v.last)
+	m.ok = false
 	return true
 }
 
 // steady reports whether the buffer holds the lines it held at the
 // boundary recorded one pass ago, in the same stamp order.
 func (v *VictimCache) steady(pass Stats, runs uint64) bool {
-	b := v.last
-	if runs < 2 || b == nil || b.clock+pass.Accesses != v.clock {
+	m := &v.mark
+	if runs < 2 || !m.ok || m.clock+pass.Accesses != v.clock {
 		return false
 	}
-	old := len(b.parked)
-	all := appendByStamp(b.parked, v.buf) // the current order, after the recorded one
-	b.parked = all[:old]
+	old := len(m.parked)
+	all := appendByStamp(m.parked, v.buf) // the current order, after the recorded one
+	m.parked = all[:old]
 	now := all[old:]
 	if len(now) != old {
 		return false
@@ -239,5 +244,5 @@ func (v *VictimCache) Flush() {
 	v.clock = 0
 	v.hits = 0
 	v.misses = 0
-	dropBoundary(&v.last)
+	v.mark.ok = false
 }
