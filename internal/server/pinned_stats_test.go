@@ -247,3 +247,96 @@ func TestPinnedStats(t *testing.T) {
 		t.Logf("the current statistics are:\n%s", table.String())
 	}
 }
+
+// pinnedFolds pins, for each pinned replay job, the runs of its pattern
+// after which the simulator's RepeatPass accepted the passes left (see
+// trace.ReplayPattern): [1] after a first pass that evicts nothing, [2]
+// once an LRU cache is in steady state, [] when every pass is replayed.
+// It is not an answer the service gives, so no ResultEpoch keys it; a
+// simulator change that folds more or fewer passes shows here.
+var pinnedFolds = map[string]string{
+	"replay/diagonal/assoc":       "[1]",
+	"replay/diagonal/direct":      "[1]",
+	"replay/diagonal/full":        "[2]",
+	"replay/diagonal/prime":       "[1]",
+	"replay/diagonal/prime-assoc": "[1]",
+	"replay/diagonal/skewed":      "[]",
+	"replay/diagonal/victim":      "[1]",
+	"replay/fft/assoc":            "[1]",
+	"replay/fft/direct":           "[1]",
+	"replay/fft/full":             "[2]",
+	"replay/fft/prime":            "[1]",
+	"replay/fft/prime-assoc":      "[1]",
+	"replay/fft/skewed":           "[1]",
+	"replay/fft/victim":           "[1]",
+	"replay/rowcol/assoc":         "[]",
+	"replay/rowcol/direct":        "[2]",
+	"replay/rowcol/full":          "[2]",
+	"replay/rowcol/prime":         "[2]",
+	"replay/rowcol/prime-assoc":   "[1]",
+	"replay/rowcol/skewed":        "[]",
+	"replay/rowcol/victim":        "[2]",
+	"replay/strided/assoc":        "[2]",
+	"replay/strided/direct":       "[2]",
+	"replay/strided/full":         "[2]",
+	"replay/strided/prime":        "[1]",
+	"replay/strided/prime-assoc":  "[1]",
+	"replay/strided/skewed":       "[1]",
+	"replay/strided/victim":       "[2]",
+	"replay/subblock/assoc":       "[1]",
+	"replay/subblock/direct":      "[1]",
+	"replay/subblock/full":        "[2]",
+	"replay/subblock/prime":       "[1]",
+	"replay/subblock/prime-assoc": "[1]",
+	"replay/subblock/skewed":      "[1]",
+	"replay/subblock/victim":      "[1]",
+}
+
+// foldRuns passes everything to the simulator it wraps and records the
+// runs at which that simulator's RepeatPass accepted.
+type foldRuns struct {
+	cache.BatchSim
+	runs []uint64
+}
+
+func (s *foldRuns) RepeatPass(pass cache.Stats, times, runs uint64) bool {
+	ok := s.BatchSim.RepeatPass(pass, times, runs)
+	if ok {
+		s.runs = append(s.runs, runs)
+	}
+	return ok
+}
+
+// TestPinnedFolds fails when the passes a pinned replay job folds
+// change. Its message prints the current table.
+func TestPinnedFolds(t *testing.T) {
+	got := map[string]string{}
+	var names []string
+	for _, j := range pinnedJobs() {
+		if !strings.HasPrefix(j.name, "replay/") {
+			continue
+		}
+		spy := &foldRuns{BatchSim: buildPinned(t, j.kind).(cache.BatchSim)}
+		if err := j.run(spy); err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		got[j.name] = fmt.Sprint(spy.runs)
+		names = append(names, j.name)
+	}
+	sort.Strings(names)
+	var table strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&table, "\t%q: %q,\n", name, got[name])
+		if want, ok := pinnedFolds[name]; !ok || want != got[name] {
+			t.Errorf("%s folds at runs %s, want %s", name, got[name], want)
+		}
+	}
+	for name := range pinnedFolds {
+		if _, ok := got[name]; !ok {
+			t.Errorf("pinned replay job %s no longer runs", name)
+		}
+	}
+	if t.Failed() {
+		t.Logf("the current folds are:\n%s", table.String())
+	}
+}
