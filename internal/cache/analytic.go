@@ -31,17 +31,7 @@ func StridedSweepStats(spec Spec, startWord uint64, strideWords int64, n, passes
 		return Stats{}, false
 	}
 	total := first
-	if passes > 1 {
-		scale := uint64(passes - 1)
-		total.Accesses += scale * steady.Accesses
-		total.Reads += scale * steady.Reads
-		total.Hits += scale * steady.Hits
-		total.Misses += scale * steady.Misses
-		total.Conflict += scale * steady.Conflict
-		total.Capacity += scale * steady.Capacity
-		total.SelfInterference += scale * steady.SelfInterference
-		total.Evictions += scale * steady.Evictions
-	}
+	total.addRuns(steady, uint64(passes-1))
 	return total, true
 }
 

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MissKind classifies a miss under the three-C model.
 type MissKind int
@@ -90,6 +93,15 @@ func (s Stats) InterferenceRatio() float64 {
 
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) { s.addRuns(o, 1) }
+
+// Sub returns s less o, field by field: the counts a simulator gathered
+// between a snapshot o and a later snapshot s. Adding o's fields times
+// 2⁶⁴−1 subtracts them modulo 2⁶⁴, so Add and Sub share addRuns' list
+// of fields.
+func (s Stats) Sub(o Stats) Stats {
+	s.addRuns(o, math.MaxUint64)
+	return s
+}
 
 // String implements fmt.Stringer with a one-line summary.
 func (s Stats) String() string {

@@ -190,21 +190,21 @@ func ReplayPatternContext(ctx context.Context, c cache.Sim, p Pattern, passes in
 			}
 			budget = checkEvery
 			if err := ctx.Err(); err != nil {
-				return diffStats(c.Stats(), before), refsDone, err
+				return c.Stats().Sub(before), refsDone, err
 			}
 		}
 		// A checkpoint between passes regardless of checkEvery, so even
 		// a tiny-pattern × many-passes job stays cancellable.
 		if err := ctx.Err(); err != nil {
-			return diffStats(c.Stats(), before), refsDone, err
+			return c.Stats().Sub(before), refsDone, err
 		}
 		// The passes left fold into this one, the pass+1'th run of the
 		// references, when the simulator accepts them.
 		if rest := uint64(passes - pass - 1); rest > 0 && bs != nil &&
-			bs.RepeatPass(diffStats(c.Stats(), passStats), rest, uint64(pass+1)) {
+			bs.RepeatPass(c.Stats().Sub(passStats), rest, uint64(pass+1)) {
 			refsDone += rest * (refsDone - passRefs)
 			break
 		}
 	}
-	return diffStats(c.Stats(), before), refsDone, nil
+	return c.Stats().Sub(before), refsDone, nil
 }

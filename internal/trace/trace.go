@@ -162,26 +162,5 @@ func Replay(c cache.Sim, t Trace) cache.Stats {
 		}
 		cache.AccessBatch(c, buf[:n], nil)
 	}
-	after := c.Stats()
-	return diffStats(after, before)
-}
-
-// diffStats returns a − b field by field: the counts a simulator
-// gathered between the two snapshots.
-func diffStats(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Accesses:          a.Accesses - b.Accesses,
-		Reads:             a.Reads - b.Reads,
-		Writes:            a.Writes - b.Writes,
-		Hits:              a.Hits - b.Hits,
-		Misses:            a.Misses - b.Misses,
-		Compulsory:        a.Compulsory - b.Compulsory,
-		Capacity:          a.Capacity - b.Capacity,
-		Conflict:          a.Conflict - b.Conflict,
-		SelfInterference:  a.SelfInterference - b.SelfInterference,
-		CrossInterference: a.CrossInterference - b.CrossInterference,
-		Evictions:         a.Evictions - b.Evictions,
-		Writebacks:        a.Writebacks - b.Writebacks,
-		MemoryWrites:      a.MemoryWrites - b.MemoryWrites,
-	}
+	return c.Stats().Sub(before)
 }
