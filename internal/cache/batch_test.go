@@ -162,8 +162,7 @@ func TestAccessBatchPrefetch(t *testing.T) {
 // cache is reused without allocating: Flush followed by a replay round
 // allocates nothing, so Flush kept every table's capacity. Last, a
 // 4-pass all-miss replay on an LRU 4-way and a fully-associative cache,
-// which fold at runs 2 with a snapshot of their frames, allocates no
-// more than any other replay: the snapshot comes from a pool.
+// which fold at runs 2, allocates no more than any other replay.
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	// Two streams, a conflict-heavy stride-512 sweep and a unit-stride
 	// sweep with stores, so the hit, miss and eviction paths all run.
@@ -245,9 +244,9 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 			spy := &foldSpy{BatchSim: sim.(cache.BatchSim), folds: make([]fold, 0, 4)}
 			p := trace.Pattern{Name: "strided", Stride: c.stride, N: c.n, Stream: 1}
 			// Under the race detector sync.Pool drops a quarter of its
-			// Puts, and a dropped boundary or chunk buffer is allocated
-			// anew by the next replay: about 0.75 allocations a replay
-			// on average, which 1000 runs keep below the one more that
+			// Puts, and a dropped chunk buffer is allocated anew by the
+			// next replay: about 0.25 allocations a replay on average,
+			// which 1000 runs keep below the one more that
 			// AllocsPerRun's whole-number mean would report.
 			allocs := testing.AllocsPerRun(1000, func() {
 				sim.Flush()

@@ -52,14 +52,6 @@ type way struct {
 	node       int32 // the line's history node
 }
 
-// key names what w holds: its line's node, or -1 when it is invalid.
-func (w *way) key() int32 {
-	if w.valid {
-		return w.node
-	}
-	return -1
-}
-
 // fill makes w a valid frame holding line. It assigns field by field: a
 // composite literal is built on the stack with narrow stores and copied
 // out with wide loads, which the processor cannot forward, and that
@@ -104,7 +96,10 @@ type Cache struct {
 
 	scratch []int // AccessBatch set-index buffer, reused across batches
 
-	last *boundary // the frames at the last boundary RepeatPass refused; nil after its replay
+	// moved counts the fills that put a line into a frame other than
+	// the one it last left; movedAt is its value at the last RepeatPass
+	// call. See steady.
+	moved, movedAt uint64
 }
 
 // wideWays is the associativity from which a set is found through the
@@ -191,7 +186,6 @@ func (c *Cache) Flush() {
 	c.stats = Stats{}
 	c.prefetchWasted = 0
 	c.hist.reset()
-	dropBoundary(&c.last)
 }
 
 // LineAddr returns the line address of a byte address under this cache's
@@ -241,13 +235,13 @@ func (c *Cache) find(set int, line uint64) (j int, slot uint64, node int32) {
 }
 
 // wayOf returns the way of wide set that holds node n's line, or -1
-// when n is indexEmpty or names no frame.
+// when n is indexEmpty or its line is not held.
 func (c *Cache) wayOf(set int, n int32) int {
 	if n == indexEmpty {
 		return -1
 	}
-	if f := c.hist.facts[n].frame; f >= 0 {
-		return int(f) - set*c.cfg.Ways
+	if f := &c.hist.facts[n]; f.flags&nodeHeld != 0 {
+		return int(f.frame) - set*c.cfg.Ways
 	}
 	return -1
 }
@@ -390,9 +384,7 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 			st.Evictions++
 			c.evict(e, a.Stream)
 		}
-		if wide {
-			c.refill(set, victim, node)
-		}
+		c.place(set, victim, node)
 		e.fill(line, clock, node, a.Write && wb, false)
 		res.Way = victim
 		if out != nil {
@@ -411,75 +403,35 @@ func (c *Cache) AccessBatch(accs []Access, out []Result) {
 // order a rerun would, so the advanced clock keeps every comparison of
 // stamps the same.
 func (c *Cache) RepeatPass(pass Stats, times, runs uint64) bool {
+	steady := c.steady(pass, runs)
+	c.movedAt = c.moved
 	switch {
 	case pass.Evictions == 0:
 		c.clock += c.stats.repeatHits(pass, times)
 		if !c.cfg.WriteBack {
 			c.stats.MemoryWrites += pass.Writes * times
 		}
-	case c.steady(pass, times, runs):
+	case steady:
 		c.stats.addRuns(pass, times)
 		c.clock += pass.Accesses * times
 	default:
 		return false
 	}
-	dropBoundary(&c.last)
 	return true
 }
 
-// recordFrames bounds the frames a multi-way Cache records per
-// reference of a pass and per pass the fold may save. Recording and
-// comparing cost about 2 ns a frame against 20 to 50 ns a simulated
-// reference, so a record that leads to a fold pays for itself up to
-// about 16 frames per reference per saved pass: in all-miss sweeps of a
-// 4-way cache of 8192 lines it won from 1 to 8 frames per reference at
-// 3 passes, to 32 at 4 and to 64 at 8, and lost from 16, 64 and 128. A
-// record whose compare refuses, a layout that rotates, is pure cost,
-// so the bound is half that crossover. BenchmarkSteadyRecord has a row
-// on each side.
-const recordFrames = 8
-
 // steady reports whether the pass just completed, which evicted, is in
-// steady state by BatchSim's rule. A multi-way cache records its frames
-// at the first boundary and compares them at the second only: from the
-// first boundary on, every pass starts from the same lines in the same
-// recency order, so each moves the frames among those ranks the same
-// way, and a layout that moved in pass 2 moves in every later pass. The
-// record is made when at least two passes remain and the cache has at
-// most recordFrames frames per reference of the pass and per pass a
-// fold at the second boundary would save.
-func (c *Cache) steady(pass Stats, times, runs uint64) bool {
-	stack := c.rng == nil && (c.cfg.Policy == LRU || c.cfg.Ways == 1) &&
-		!(c.cfg.WriteBack && pass.Writes != 0)
-	if stack && c.cfg.Ways == 1 {
-		return runs >= 2 && pass.Writebacks == 0
-	}
-	b := c.last
-	switch {
-	case !stack:
-	case runs == 1 && times >= 2 && uint64(len(c.frames)) <= recordFrames*(times-1)*pass.Accesses:
-		if b == nil {
-			b = takeBoundary()
-			c.last = b
-		}
-		if cap(b.frames) < len(c.frames) {
-			b.frames = make([]int32, len(c.frames))
-		}
-		b.clock, b.frames = c.clock, b.frames[:len(c.frames)]
-		for i := range c.frames {
-			b.frames[i] = c.frames[i].key()
-		}
-		return false
-	case runs == 2 && pass.Writebacks == 0 && b != nil && b.clock+pass.Accesses == c.clock:
-		same := true
-		for i := 0; same && i < len(b.frames); i++ {
-			same = b.frames[i] == c.frames[i].key()
-		}
-		dropBoundary(&c.last)
-		return same
-	}
-	dropBoundary(&c.last)
-	return false
+// steady state by BatchSim's rule. From runs 2 on, an LRU set holds the
+// same lines in the same recency order at every boundary. A line that
+// held frame f at the previous boundary leaves f only by eviction, so
+// when no fill since the last call moved a line, each was refilled
+// into f and every frame holds the line it held there. moved only
+// grows, so a call longer ago than the previous boundary only makes the
+// check stricter; a one-way cache never moves a line it held.
+func (c *Cache) steady(pass Stats, runs uint64) bool {
+	return runs >= 2 && c.rng == nil && (c.cfg.Policy == LRU || c.cfg.Ways == 1) &&
+		pass.Writebacks == 0 && !(c.cfg.WriteBack && pass.Writes != 0) &&
+		c.moved == c.movedAt
 }
 
 // evict accounts for frame e's valid line leaving the cache for a
@@ -530,21 +482,30 @@ func (c *Cache) pickVictim(set int, ways []way) int {
 	return oldest
 }
 
-// refill keeps a wide set's bookkeeping as way j of set takes node n's
-// line, before the frame is filled: the evicted line's node, if any,
-// names no frame any more, n names this one, and the frame moves to the
-// front of the recency list.
-func (c *Cache) refill(set, j int, n int32) {
+// place records, before the frame is filled, that way j of set takes
+// node n's line: the node names the frame, and moved counts the fill if
+// the line last left another frame (a line's first fill left none). A
+// wide set also keeps its bookkeeping: the evicted line, if any, is no
+// longer held, n's is, and the frame moves to the front of the recency
+// list.
+func (c *Cache) place(set, j int, n int32) {
 	f := int32(set*c.cfg.Ways + j)
-	s := &c.sets[set]
 	facts := c.hist.facts
+	if last := facts[n].frame; last >= 0 && last != f {
+		c.moved++
+	}
+	facts[n].frame = f
+	if !c.wide {
+		return
+	}
+	s := &c.sets[set]
 	if w := &c.frames[f]; w.valid {
-		facts[w.node].frame = -1
+		facts[w.node].flags &^= nodeHeld
 		s.order.unlink(c.links, f)
 	} else {
 		s.filled++
 	}
-	facts[n].frame = f
+	facts[n].flags |= nodeHeld
 	s.order.pushFront(c.links, f)
 }
 

@@ -17,10 +17,11 @@ package cache
 // index, from line to node, is the only line table of a Cache, and it
 // never deletes an entry. A frame of the cache keeps its line's node,
 // so a hit and an eviction reach the node with no probe; only a miss
-// probes, once, finding or adding the missing line's node. A wide Cache
-// (wideWays) finds its lines through the same probe: the node of a line
-// it holds names the frame, and refill moves that name as lines come
-// and go.
+// probes, once, finding or adding the missing line's node. A node names
+// the frame that last held its line (Cache.place), so a Cache can tell
+// a refill into that frame from one that moves the line. A wide Cache
+// (wideWays) finds its lines through the same probe: a node whose line
+// it still holds is marked held, and names the frame.
 //
 // reset empties the nodes and the index in place, keeping their
 // capacity, so a cache that is flushed and reused regrows nothing: once
@@ -47,7 +48,7 @@ type history struct {
 // touched, and that line's first demand touch is still compulsory.
 type nodeFacts struct {
 	evictor int32 // stream that last evicted the line; StreamNone = none known
-	frame   int32 // the wide Cache frame holding the line; -1 = none, or not wide
+	frame   int32 // the Cache frame that last held the line; -1 = none
 	flags   uint8
 }
 
@@ -55,6 +56,7 @@ const (
 	nodeSeen     = 1 << iota // referenced by a demand access
 	nodeInShadow             // linked into the shadow
 	nodeWide                 // evictor is in history.wide
+	nodeHeld                 // a wide Cache holds the line, in frame
 )
 
 // newHistory returns an empty history for a cache of lines lines.

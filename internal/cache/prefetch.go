@@ -200,9 +200,7 @@ func (p *PrefetchCache) install(line uint64, stream int) {
 	if e.valid {
 		c.evict(e, stream)
 	}
-	if c.wide {
-		c.refill(set, victim, node)
-	}
+	c.place(set, victim, node)
 	e.fill(line, c.clock, node, false, true)
 	p.stats.Issued++
 }

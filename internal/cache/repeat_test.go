@@ -119,7 +119,7 @@ func (fc foldCase) accesses(t *testing.T, mk func() cache.Sim, accs []cache.Acce
 	for run := 1; run <= fc.passes; run++ {
 		before := folded.Stats()
 		cache.AccessBatch(folded, accs, nil)
-		if rest := fc.passes - run; rest > 0 && folded.RepeatPass(statsDelta(folded.Stats(), before), uint64(rest), uint64(run)) {
+		if rest := fc.passes - run; rest > 0 && folded.RepeatPass(folded.Stats().Sub(before), uint64(rest), uint64(run)) {
 			break
 		}
 	}
@@ -128,25 +128,6 @@ func (fc foldCase) accesses(t *testing.T, mk func() cache.Sim, accs []cache.Acce
 	}
 	fc.compare(t, fmt.Sprintf("a pass of %d references", len(accs)), folded, unrolled)
 	return folded
-}
-
-// statsDelta returns every counter of after less before.
-func statsDelta(after, before cache.Stats) cache.Stats {
-	return cache.Stats{
-		Accesses:          after.Accesses - before.Accesses,
-		Reads:             after.Reads - before.Reads,
-		Writes:            after.Writes - before.Writes,
-		Hits:              after.Hits - before.Hits,
-		Misses:            after.Misses - before.Misses,
-		Compulsory:        after.Compulsory - before.Compulsory,
-		Capacity:          after.Capacity - before.Capacity,
-		Conflict:          after.Conflict - before.Conflict,
-		SelfInterference:  after.SelfInterference - before.SelfInterference,
-		CrossInterference: after.CrossInterference - before.CrossInterference,
-		Evictions:         after.Evictions - before.Evictions,
-		Writebacks:        after.Writebacks - before.Writebacks,
-		MemoryWrites:      after.MemoryWrites - before.MemoryWrites,
-	}
 }
 
 // repeatSims builds, by name, every organisation the fold is checked
@@ -309,9 +290,10 @@ type sweepSim struct {
 // passes of a sweep that misses on every reference fold at runs 2, the
 // last two passes at once, on every organisation whose sets are LRU
 // stacks and whose frames the sweep leaves as they were: direct- and
-// prime-mapped caches, a 4-way LRU cache cycling a multiple of 4 lines
-// through one set, a wide fully-associative cache, a prime-mapped
-// 2-way cache and a victim cache. FIFO, Random, skewed and prefetching
+// prime-mapped caches, 4-way LRU caches of 64 and of 1024 lines
+// cycling a multiple of 4 lines through one set, a wide
+// fully-associative cache, a prime-mapped 2-way cache and a victim
+// cache. FIFO, Random, skewed and prefetching
 // caches refuse every run, as does an LRU set cycling 3 lines through 2
 // ways, whose layout rotates by a way each pass. So do a write-back
 // pass that stores, and a pass that writes back a line a prologue
@@ -328,6 +310,9 @@ func TestRepeatPassSteadyState(t *testing.T) {
 		{"full", func() (cache.Sim, error) { return cache.NewFullyAssoc(16) }, 1, 32},
 		{"prime-assoc", func() (cache.Sim, error) { return cache.NewPrimeAssoc(3, 2) }, 7, 4},
 		{"victim", func() (cache.Sim, error) { return cache.NewVictim(16, 2) }, 16, 8},
+		// One set of 256 cycles 8 lines: a cache far larger than the
+		// pass folds as a small one does.
+		{"large-cache", lru(1024, 4, cache.LRU), 256, 8},
 	}
 	refusing := []sweepSim{
 		{"fifo", lru(64, 4, cache.FIFO), 16, 8},
@@ -341,9 +326,6 @@ func TestRepeatPassSteadyState(t *testing.T) {
 		{"skewed", func() (cache.Sim, error) { return cache.NewSkewed(8) }, 1, 16},
 		{"prefetch", func() (cache.Sim, error) { return newReusePrefetch(t), nil }, 16, 2},
 		{"rotating", lru(2, 2, cache.LRU), 1, 3},
-		// One set of 256 cycles 8 lines: 128 frames per reference, past
-		// the bound on recording the frames for a fold.
-		{"large-cache", lru(1024, 4, cache.LRU), 256, 8},
 	}
 	run := func(t *testing.T, c sweepSim) (*foldSpy, cache.Stats) {
 		t.Helper()
@@ -429,50 +411,6 @@ func TestRepeatPassSteadyState(t *testing.T) {
 			t.Fatalf("folded %+v", spy.folds)
 		}
 	})
-}
-
-// unfolded is a simulator whose RepeatPass refuses every pass, so a
-// replay through it runs them all.
-type unfolded struct{ cache.BatchSim }
-
-func (unfolded) RepeatPass(cache.Stats, uint64, uint64) bool { return false }
-
-// BenchmarkSteadyRecord replays 4 passes of an all-miss sweep, which
-// cycles 8 lines through each of some sets of a 4-way LRU cache of 8192
-// lines, on a flushed cache, at 8 and at 64 frames per reference of the
-// pass: one row on each side of the bound (16 at 4 passes) up to which
-// the cache records its frames at the first boundary and so may fold
-// from the second. Each steady row has an unrolled twin that replays
-// every pass.
-func BenchmarkSteadyRecord(b *testing.B) {
-	const lines, sets = 8192, 2048
-	for _, perRef := range []int{8, 64} {
-		// A stride of 2*perRef lines reaches sets/(2*perRef) sets, and 8
-		// lines in each make a pass of lines/perRef references.
-		p := trace.Pattern{Name: "strided", Stride: int64(2 * perRef), N: lines / perRef}
-		for _, row := range []struct {
-			name string
-			wrap func(cache.BatchSim) cache.Sim
-		}{
-			{"steady", func(s cache.BatchSim) cache.Sim { return s }},
-			{"unrolled", func(s cache.BatchSim) cache.Sim { return unfolded{s} }},
-		} {
-			b.Run(fmt.Sprintf("frames-per-ref=%d/%s", perRef, row.name), func(b *testing.B) {
-				c, err := cache.NewSetAssoc(lines, 4, cache.LRU)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim := row.wrap(c)
-				for i := 0; i < b.N; i++ {
-					c.Flush()
-					if _, err := trace.ReplayPattern(sim, p, 4); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4*p.N), "ns/ref")
-			})
-		}
-	}
 }
 
 // FuzzRepeatPass is TestRepeatPassMatchesUnrolled's comparison on a

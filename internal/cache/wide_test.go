@@ -7,8 +7,8 @@ import (
 
 // checkWideFrames checks what ties a wide cache's frames to the
 // history's nodes, through which its lookups go: every valid frame's
-// node is the node of the frame's line and names that frame, and every
-// node that names a frame has that frame's line.
+// node is the node of the frame's line, is held and names that frame,
+// and every held node names a frame that holds its line.
 func checkWideFrames(c *Cache) error {
 	h := c.hist
 	for f := range c.frames {
@@ -16,18 +16,17 @@ func checkWideFrames(c *Cache) error {
 		if !w.valid {
 			continue
 		}
-		if h.lines[w.node] != w.line || h.facts[w.node].frame != int32(f) {
-			return fmt.Errorf("frame %d holds line %#x, but its node %d has line %#x and names frame %d",
-				f, w.line, w.node, h.lines[w.node], h.facts[w.node].frame)
+		if facts := h.facts[w.node]; h.lines[w.node] != w.line || facts.frame != int32(f) || facts.flags&nodeHeld == 0 {
+			return fmt.Errorf("frame %d holds line %#x, but its node %d has line %#x, names frame %d and has flags %#x",
+				f, w.line, w.node, h.lines[w.node], facts.frame, facts.flags)
 		}
 	}
 	for n, facts := range h.facts {
-		f := facts.frame
-		if f < 0 {
+		if facts.flags&nodeHeld == 0 {
 			continue
 		}
-		if int(f) >= len(c.frames) || !c.frames[f].valid || c.frames[f].line != h.lines[n] {
-			return fmt.Errorf("node %d of line %#x names frame %d, which does not hold it", n, h.lines[n], f)
+		if f := facts.frame; f < 0 || int(f) >= len(c.frames) || !c.frames[f].valid || c.frames[f].line != h.lines[n] {
+			return fmt.Errorf("node %d of line %#x is held in frame %d, which does not hold it", n, h.lines[n], f)
 		}
 	}
 	return nil
