@@ -378,8 +378,9 @@ func bankConflictProperty() Property {
 // nothing, and otherwise the generator's, which mostly overflows them.
 // The second is a conflict sweep: its stride of 4096 words maps every
 // reference to one set of a power-of-two cache, so it evicts on every
-// pass and an LRU cache folds it in steady state. A round in which no
-// simulator folded a pass that evicted fails, so the cases cannot drift
+// pass and an LRU cache folds it in steady state. A cache of more than
+// one way also replays oneSetSweeps. A round in which no multi-way
+// cache folded a pass that evicted fails, so the cases cannot drift
 // away from that fold unnoticed.
 func replayPassesProperty() Property {
 	return Property{
@@ -387,7 +388,7 @@ func replayPassesProperty() Property {
 		Statement: "a multi-pass pattern replay, which folds the passes after one that evicts nothing or once an LRU cache is in steady state, equals the same replay on the reference simulator of every organisation",
 		Check: func(rng *rand.Rand) error {
 			g := &Gen{rng: rng}
-			steadyFolds := 0
+			multiWayFolds := 0
 			for _, kind := range cache.SpecKinds() {
 				spec := g.SpecOfKind(kind)
 				p, passes := g.Pattern(), 2+rng.Intn(4)
@@ -401,19 +402,59 @@ func replayPassesProperty() Property {
 					p      trace.Pattern
 					passes int
 				}{{p, passes}, {conflict, 3 + rng.Intn(3)}} {
-					n, err := replayMatchesReference(g, spec, c.p, c.passes)
-					if err != nil {
+					if _, err := replayMatchesReference(g, spec, c.p, c.passes); err != nil {
 						return err
 					}
-					steadyFolds += n
 				}
+				n, err := oneSetSweeps(g, spec)
+				if err != nil {
+					return err
+				}
+				multiWayFolds += n
 			}
-			if steadyFolds == 0 {
-				return fmt.Errorf("no simulator folded a pass that evicted, so the round did not check the steady-state fold")
+			if multiWayFolds == 0 {
+				return fmt.Errorf("no multi-way cache folded a pass that evicted, so the round did not check the steady-state fold of a layout")
 			}
 			return nil
 		},
 	}
+}
+
+// oneSetSweeps replays, when spec builds a Cache of W ≥ 2 ways, two
+// sweeps whose every reference maps to one set, each missing on every
+// reference of every pass: k·W lines (k ≥ 2), which leave the frames as
+// they found them, so an LRU cache must fold them in steady state, and
+// k·W+1 lines, whose layout rotates by a way each pass, so no cache may
+// fold them. It returns the passes with evictions folded.
+func oneSetSweeps(g *Gen, spec cache.Spec) (int, error) {
+	sim, err := spec.Build()
+	if err != nil {
+		return 0, err
+	}
+	c, ok := sim.(*cache.Cache)
+	if !ok || c.Config().Ways < 2 {
+		return 0, nil
+	}
+	cfg, rng := c.Config(), g.rng
+	p := trace.Pattern{Name: "strided", Start: uint64(rng.Intn(1 << 12)), Stride: int64(cfg.Mapper.Sets()),
+		N: (2 + rng.Intn(3)) * cfg.Ways, Stream: 1 + rng.Intn(2)}
+	passes := 3 + rng.Intn(3)
+	folded, err := replayMatchesReference(g, spec, p, passes)
+	if err != nil {
+		return 0, err
+	}
+	if folded == 0 && cfg.Policy == cache.LRU {
+		return 0, fmt.Errorf("spec %s, %s × %d passes: an LRU set cycling a multiple of its ways did not fold", spec, p, passes)
+	}
+	p.N++
+	rotated, err := replayMatchesReference(g, spec, p, passes)
+	if err != nil {
+		return 0, err
+	}
+	if rotated != 0 {
+		return 0, fmt.Errorf("spec %s, %s × %d passes: folded %d passes of a layout that rotates", spec, p, passes, rotated)
+	}
+	return folded, nil
 }
 
 // replayMatchesReference replays passes passes of p through spec's fast
