@@ -1,5 +1,6 @@
 # Development and CI entry points. `make ci` is the gate every PR must
-# pass: a gofmt check, vet, the full test suite, the
+# pass: a gofmt check, vet, a check that the daemon does not link the
+# test oracle, the full test suite, the
 # concurrency-sensitive packages under the race detector, a fuzz smoke
 # pass over every fuzz target, one iteration of every go benchmark, and
 # a bounded differential-oracle campaign (see internal/oracle and
@@ -19,7 +20,7 @@ FUZZTIME ?= 10s
 # Seeded fault schedules per `make chaos` run (see internal/sim/chaos).
 CHAOS_SCHEDULES ?= 50
 
-.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench-go fmt-check oracle fuzz-smoke obs-test obscheck docs-check perfbench-check golden-update loc ci
+.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench-go fmt-check oracle fuzz-smoke obs-test obscheck docs-check perfbench-check deps-check golden-update loc ci
 
 build:
 	$(GO) build ./...
@@ -134,6 +135,12 @@ persist-test:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
+# The differential oracle is a test tool: the production daemon must
+# not link it. Fails when cmd/vcached depends on internal/oracle.
+deps-check:
+	@if $(GO) list -deps ./cmd/vcached | grep -qx 'primecache/internal/oracle'; then \
+		echo "cmd/vcached links primecache/internal/oracle"; exit 1; fi
+
 # Regenerate the golden files for the report renderers, the figures
 # command, the /metrics exposition and the compute endpoints' wire
 # bytes (internal/server/testdata/wire.golden), both tiers' /v1/stats
@@ -156,4 +163,4 @@ loc:
 	for (d in dirs) printf "%-28s %9d %9d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
 	printf "%-28s %9d %9d\n", "total", sum[0], sum[1] }'
 
-ci: fmt-check vet build test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-go
+ci: fmt-check vet build deps-check test race-server cluster-test stress chaos persist-test obs-test docs-check perfbench-check fuzz-smoke oracle bench-go

@@ -46,6 +46,21 @@ func runTool(t *testing.T, bin string, stdin string, args ...string) string {
 	return string(out)
 }
 
+// runToolFails runs bin with args, which it must reject, and returns its
+// output; the tool must exit with code 2 and say why on stderr.
+func runToolFails(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%s %v: got %v, want exit status 2\n%s", filepath.Base(bin), args, err, out)
+	}
+	if len(out) == 0 {
+		t.Errorf("%s %v: exited without a message", filepath.Base(bin), args)
+	}
+	return string(out)
+}
+
 func TestCLIIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -100,6 +115,15 @@ func TestCLIIntegration(t *testing.T) {
 		if !strings.Contains(out, `"Accesses": 8`) {
 			t.Errorf("json output:\n%s", out)
 		}
+		// A diagonal runs through the vector API with stride ld+1: on
+		// prime c=13, ld 8191 is stride 8192 ≡ 1, conflict-free.
+		out = runTool(t, bin, "", "-pattern", "diagonal", "-ld", "8191", "-n", "4096", "-passes", "2")
+		if !strings.Contains(out, "hits:     4096") || !strings.Contains(out, "mersenne adder steps: 8192") {
+			t.Errorf("vcachesim diagonal output:\n%s", out)
+		}
+		for _, args := range [][]string{{"-n", "-1"}, {"-n", "0"}, {"-pattern", "subblock", "-b1", "-2"}, {"-pattern", "bogus"}} {
+			runToolFails(t, bin, args...)
+		}
 	})
 
 	t.Run("vcmodel", func(t *testing.T) {
@@ -125,6 +149,41 @@ func TestCLIIntegration(t *testing.T) {
 		}
 		if !strings.HasPrefix(out, "R 0 1") {
 			t.Errorf("first ref: %q", strings.SplitN(out, "\n", 2)[0])
+		}
+		// Every trace.Pattern name, rowcol included, writes the trace
+		// Pattern.Build makes (tracegen's flag defaults are Pattern's).
+		for _, tc := range []struct {
+			args []string
+			p    trace.Pattern
+		}{
+			{[]string{"-pattern", "diagonal", "-ld", "100", "-n", "5"}, trace.Pattern{Name: "diagonal", LD: 100, N: 5}},
+			{[]string{"-pattern", "subblock", "-ld", "100", "-b1", "3", "-b2", "2"}, trace.Pattern{Name: "subblock", LD: 100, B1: 3, B2: 2}},
+			{[]string{"-pattern", "rowcol", "-ld", "2", "-n", "8"}, trace.Pattern{Name: "rowcol", LD: 2, N: 8}},
+			{[]string{"-pattern", "fft", "-n", "8", "-b2", "2"}, trace.Pattern{Name: "fft", N: 8, B2: 2}},
+		} {
+			tr, err := tc.p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			if _, err := tr.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if out := runTool(t, bin, "", tc.args...); out != want.String() {
+				t.Errorf("tracegen %v wrote\n%s\nwant\n%s", tc.args, out, want.String())
+			}
+		}
+		// Invalid patterns and zero flags, which trace.Pattern would read
+		// as their defaults, exit 2 with a message instead of panicking
+		// or writing a default trace.
+		for _, args := range [][]string{
+			{"-n", "-1"},
+			{"-pattern", "subblock", "-b1", "-2"},
+			{"-n", "0"}, {"-stride", "0"}, {"-ld", "0"}, {"-b1", "0"}, {"-b2", "0"},
+			{"-pattern", "fft", "-n", "10", "-b2", "3"},
+			{"-pattern", "bogus"},
+		} {
+			runToolFails(t, bin, args...)
 		}
 	})
 

@@ -1,7 +1,8 @@
 // Command tracegen writes address-trace files in the repository's text
-// format ('R|W hexaddr stream'), either from a synthetic pattern or from
-// a VCM workload specification — the producer side of vcachesim's
-// -tracefile and -fit consumers.
+// format ('R|W hexaddr stream'), either from a synthetic pattern (any
+// trace.Pattern name) or from a VCM workload specification — the
+// producer side of vcachesim's -tracefile and -fit consumers. An
+// invalid pattern, or a zero -n, -stride, -ld, -b1 or -b2, exits 2.
 //
 // Examples:
 //
@@ -21,12 +22,12 @@ import (
 
 func main() {
 	var (
-		pattern = flag.String("pattern", "strided", "pattern: strided, diagonal, subblock, fft, vcm")
+		pattern = flag.String("pattern", "strided", "pattern: strided, diagonal, subblock, rowcol, fft, vcm")
 		start   = flag.Uint64("start", 0, "starting word address")
 		stride  = flag.Int64("stride", 1, "word stride (strided)")
-		n       = flag.Int("n", 4096, "elements per pass (strided/diagonal) or points (fft)")
+		n       = flag.Int("n", 4096, "elements per pass (strided/diagonal/rowcol) or points (fft)")
 		passes  = flag.Int("passes", 1, "repetitions of the pattern")
-		ld      = flag.Int("ld", 10000, "leading dimension (subblock/diagonal)")
+		ld      = flag.Int("ld", 10000, "leading dimension (subblock/rowcol/diagonal)")
 		b1      = flag.Int("b1", 64, "sub-block rows")
 		b2      = flag.Int("b2", 64, "sub-block columns / FFT B2")
 		b       = flag.Int("b", 2048, "VCM blocking factor")
@@ -39,27 +40,22 @@ func main() {
 
 	var tr trace.Trace
 	var err error
-	switch *pattern {
-	case "strided":
-		tr = trace.Strided(*start, *stride, *n, 1)
-	case "diagonal":
-		tr = trace.Diagonal(*start, *ld, *n, 1)
-	case "subblock":
-		tr = trace.Subblock(*start, *ld, *b1, *b2, 1)
-	case "fft":
-		if *b2 <= 0 || *n%*b2 != 0 {
-			err = fmt.Errorf("fft pattern needs b2 dividing n")
-		} else {
-			for row := 0; row < *b2 && err == nil; row++ {
-				tr = append(tr, trace.Strided(*start+uint64(row), int64(*b2), *n / *b2, 1)...)
-			}
-		}
-	case "vcm":
+	if *pattern == "vcm" {
 		work := vcm.VCM{B: *b, R: *r, Pds: *pds, P1S1: 0.25, P1S2: 0.25}
 		tr, err = trace.FromVCM(work, *s1, *s2, *start, *start+uint64(*b)*uint64(abs64(*s1))+4096)
 		*passes = 1 // FromVCM already contains the R passes
-	default:
-		err = fmt.Errorf("unknown pattern %q", *pattern)
+	} else {
+		// trace.Pattern reads a zero as "use the default"; a zero flag is
+		// a mistake, not a request for the default.
+		for _, name := range []string{"n", "stride", "ld", "b1", "b2"} {
+			if flag.Lookup(name).Value.String() == "0" {
+				err = fmt.Errorf("-%s must not be 0", name)
+			}
+		}
+		if err == nil {
+			tr, err = trace.Pattern{Name: *pattern, Start: *start, Stride: *stride,
+				N: *n, LD: *ld, B1: *b1, B2: *b2}.Build()
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)

@@ -1,7 +1,8 @@
 // Command vcachesim is a trace-driven vector-cache simulator: it drives a
 // chosen cache organisation with a synthetic vector access pattern and
 // reports hit/miss statistics with the three-C split and self/cross
-// interference attribution.
+// interference attribution. An invalid pattern, or a zero -n, -stride,
+// -ld, -b1 or -b2, exits 2.
 //
 // Examples:
 //
@@ -92,28 +93,31 @@ func main() {
 		}
 		return
 	}
-	switch *pattern {
-	case "strided", "diagonal":
-		st := *stride
-		if *pattern == "diagonal" {
-			st = int64(*ld) + 1
+	// trace.Pattern reads a zero as "use the default"; a zero flag is a
+	// mistake, not a request for the default.
+	for _, name := range []string{"n", "stride", "ld", "b1", "b2"} {
+		if flag.Lookup(name).Value.String() == "0" {
+			fmt.Fprintf(os.Stderr, "vcachesim: -%s must not be 0\n", name)
+			os.Exit(2)
 		}
-		refsPerPass = *n
-		for p := 0; p < *passes; p++ {
-			if _, err := vc.LoadVector(*start, st, *n, 1); err != nil {
+	}
+	p := trace.Pattern{Name: *pattern, Start: *start, Stride: *stride, N: *n, LD: *ld, B1: *b1, B2: *b2}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "vcachesim:", err)
+		os.Exit(2)
+	}
+	if vstart, vstride, vn, ok := p.Vector(); ok {
+		refsPerPass = vn
+		for pass := 0; pass < *passes; pass++ {
+			if _, err := vc.LoadVector(vstart, vstride, vn, 1); err != nil {
 				fmt.Fprintln(os.Stderr, "vcachesim:", err)
 				os.Exit(1)
 			}
 		}
-	default:
-		tr, err := trace.Pattern{Name: *pattern, Start: *start, Stride: *stride,
-			N: *n, LD: *ld, B1: *b1, B2: *b2}.Build()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vcachesim:", err)
-			os.Exit(2)
-		}
+	} else {
+		tr, _ := p.Build() // p validated above
 		refsPerPass = len(tr)
-		for p := 0; p < *passes; p++ {
+		for pass := 0; pass < *passes; pass++ {
 			trace.Replay(vc.Cache(), tr)
 		}
 	}

@@ -1,5 +1,7 @@
 package cache
 
+import "primecache/internal/mersenne"
+
 // Analytic fast path for strided sweeps over one-way organisations.
 //
 // A P-pass, n-element, stride-s vector sweep is the paper's canonical
@@ -16,9 +18,11 @@ package cache
 // address accumulator of trace.Strided never leaves [0, 2^63): within
 // that range uint64 conversion is the identity, so residues mod C step
 // uniformly by s mod C. StridedSweepStats reports ok=false whenever any
-// precondition fails and callers fall back to replay; the formulas are
-// additionally cross-checked against replay at run time by the oracle
-// (VerifyStridedAnalytic) and at job-admission time by the server.
+// precondition fails and callers fall back to replay. Callers reach it
+// through trace.ClosedForm, which maps a pattern to its sweep and checks
+// the formulas against a shrunken replay; the server runs that check on
+// every job it answers in closed form, and the oracle property
+// strided-analytic-equals-replay compares whole jobs with replay.
 
 // StridedSweepStats returns the exact statistics a freshly built spec
 // cache would accumulate replaying trace.Strided(startWord, strideWords,
@@ -115,9 +119,7 @@ func analyticSets(spec Spec) (int, bool) {
 	spec = spec.Normalize()
 	switch spec.Kind {
 	case "prime":
-		// Mirror mersenne.NewPrime's exponent check cheaply.
-		switch spec.C {
-		case 2, 3, 5, 7, 13, 17, 19, 31:
+		if mersenne.IsPrimeExponent(spec.C) {
 			return 1<<spec.C - 1, true
 		}
 		return 0, false

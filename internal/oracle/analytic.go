@@ -8,46 +8,30 @@ import (
 	"primecache/internal/trace"
 )
 
-// VerifyStridedAnalytic replays passes passes of the strided sweep on
-// sim, which must be an empty simulator of spec (fresh or just
-// flushed), and compares its statistics against the closed form of
-// cache.StridedSweepStats. The sweep streams through
-// trace.ReplayPattern, so no trace is materialised. It returns an error
-// when the model declines the sweep or when any counter differs; nil
-// means the closed form is exact for this instance. The vcached server
-// uses this as its admission guard before trusting the analytic path
-// for a job, on a simulator from its shelf, and the property suite runs
-// it across stride classes.
-func VerifyStridedAnalytic(sim cache.Sim, spec cache.Spec, startWord uint64, strideWords int64, n, passes, stream int) error {
-	if strideWords == 0 || n <= 0 || stream == 0 {
-		// A trace.Pattern reads each of these zeros as its default.
-		return fmt.Errorf("oracle: cannot replay a sweep of stride %d, n %d, stream %d", strideWords, n, stream)
+// verifyClosedForm checks trace.ClosedForm's answer for passes passes
+// of p on a fresh simulator of spec, which also runs the guard replay,
+// against a full replay of the job on the same simulator, flushed. It
+// returns an error when the closed form declines the job or when any
+// counter differs.
+func verifyClosedForm(spec cache.Spec, p trace.Pattern, passes int) error {
+	sim, err := spec.Build()
+	if err != nil {
+		return fmt.Errorf("oracle: building %s: %v", spec, err)
 	}
-	want, ok := cache.StridedSweepStats(spec, startWord, strideWords, n, passes, stream)
-	if !ok {
-		return fmt.Errorf("oracle: analytic model rejected sweep spec=%s start=%d stride=%d n=%d passes=%d",
-			spec, startWord, strideWords, n, passes)
+	want, _, err := trace.ClosedForm(sim, spec, p, passes)
+	if err != nil {
+		return fmt.Errorf("oracle: %s × %d on %s: %v", p, passes, spec, err)
 	}
-	p := trace.Pattern{Name: "strided", Start: startWord, Stride: strideWords, N: n, Stream: stream}
+	sim.Flush()
 	got, err := trace.ReplayPattern(sim, p, passes)
 	if err != nil {
 		return fmt.Errorf("oracle: replaying %s: %v", p, err)
 	}
 	if got != want {
-		return fmt.Errorf("oracle: analytic sweep mismatch spec=%s start=%d stride=%d n=%d passes=%d stream=%d:\n  replay   %v\n  analytic %v",
-			spec, startWord, strideWords, n, passes, stream, got, want)
+		return fmt.Errorf("oracle: closed form of %s × %d on %s differs from replay:\n  replay      %v\n  closed form %v",
+			p, passes, spec, got, want)
 	}
 	return nil
-}
-
-// verifyStridedAnalyticFresh is VerifyStridedAnalytic on a newly built
-// simulator of spec.
-func verifyStridedAnalyticFresh(spec cache.Spec, startWord uint64, strideWords int64, n, passes, stream int) error {
-	sim, err := spec.Build()
-	if err != nil {
-		return fmt.Errorf("oracle: building %s: %v", spec, err)
-	}
-	return VerifyStridedAnalytic(sim, spec, startWord, strideWords, n, passes, stream)
 }
 
 // stridedAnalyticProperty cross-checks the closed-form strided-sweep
@@ -55,10 +39,13 @@ func verifyStridedAnalyticFresh(spec cache.Spec, startWord uint64, strideWords i
 // and the stride classes the paper cares about: unit, power-of-two
 // (the pathological direct-mapped case), multiples of C and near-C
 // (degenerate one-set orbits), and arbitrary positive/negative strides.
+// About a third of the rounds with a stride above 1 sweep it as a
+// diagonal with ld = stride−1, so the diagonal pattern is covered
+// through its own name.
 func stridedAnalyticProperty() Property {
 	return Property{
 		Name:      "strided-analytic-equals-replay",
-		Statement: "closed-form strided-sweep statistics equal trace-driven replay for prime- and direct-mapped caches across stride classes and pass counts",
+		Statement: "closed-form statistics of strided and diagonal sweeps equal trace-driven replay for prime- and direct-mapped caches across stride classes and pass counts",
 		Check: func(rng *rand.Rand) error {
 			var spec cache.Spec
 			var C int64
@@ -101,8 +88,11 @@ func stridedAnalyticProperty() Property {
 				// backwards sweeps over allocated arrays do.
 				start += uint64(int64(n) * -s)
 			}
-			stream := 1 + rng.Intn(2)
-			return verifyStridedAnalyticFresh(spec, start, s, n, passes, stream)
+			p := trace.Pattern{Name: "strided", Start: start, Stride: s, N: n, Stream: 1 + rng.Intn(2)}
+			if rng.Intn(3) == 0 && s > 1 {
+				p.Name, p.LD = "diagonal", int(s-1)
+			}
+			return verifyClosedForm(spec, p, passes)
 		},
 	}
 }

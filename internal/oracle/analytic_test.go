@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"primecache/internal/cache"
+	"primecache/internal/trace"
 )
 
 // TestStridedAnalyticDirected pins the closed form against replay on the
 // regime boundaries: orbit exactly filled (n = o, n = C), one past the
 // shadow capacity (n = C+1), degenerate one-set orbits (stride a
-// multiple of C), power-of-two strides, backwards sweeps, and n = 1.
+// multiple of C), power-of-two strides, backwards sweeps, and n = 1;
+// then diagonals, whose stride is ld+1.
 func TestStridedAnalyticDirected(t *testing.T) {
 	type tc struct {
 		spec   cache.Spec
@@ -40,12 +42,31 @@ func TestStridedAnalyticDirected(t *testing.T) {
 		{direct, 3, 96, 130, 2},       // non-power-of-two stride, n > C
 	}
 	for _, c := range cases {
-		if err := verifyStridedAnalyticFresh(c.spec, c.start, c.stride, c.n, c.passes, 1); err != nil {
+		p := trace.Pattern{Name: "strided", Start: c.start, Stride: c.stride, N: c.n}
+		if err := verifyClosedForm(c.spec, p, c.passes); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, c := range []struct {
+		spec   cache.Spec
+		ld, n  int
+		passes int
+	}{
+		{prime5, 30, 31, 3},  // stride C: one-set orbit
+		{prime5, 31, 40, 2},  // stride C+1 ≡ 1, n > C
+		{direct, 63, 64, 3},  // stride 64 = C: one set
+		{direct, 64, 64, 3},  // stride C+1: conflict-free fill
+		{direct, 15, 20, 2},  // stride 16 folds onto 4 sets
+		{prime7, 127, 10, 1}, // stride 128 ≡ 1
+	} {
+		p := trace.Pattern{Name: "diagonal", Start: 3, LD: c.ld, N: c.n}
+		if err := verifyClosedForm(c.spec, p, c.passes); err != nil {
 			t.Error(err)
 		}
 	}
 	// StreamNone: conflict misses stay unattributed.
-	if err := verifyStridedAnalyticFresh(prime5, 0, 62, 20, 3, cache.StreamNone); err != nil {
+	p := trace.Pattern{Name: "strided", Stride: 62, N: 20, Stream: cache.StreamNone}
+	if err := verifyClosedForm(prime5, p, 3); err != nil {
 		t.Error(err)
 	}
 }

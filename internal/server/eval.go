@@ -9,7 +9,6 @@ import (
 	"primecache/internal/cache"
 	"primecache/internal/mersenne"
 	"primecache/internal/obs"
-	"primecache/internal/oracle"
 	"primecache/internal/trace"
 	"primecache/internal/vcm"
 )
@@ -18,11 +17,10 @@ import (
 // timed-out or cancelled job stops promptly without a per-access check.
 const evalChunk = 1 << 16
 
-// analyticMinRefs is the job size (passes × refs/pass) from which a
-// strided sweep on a closed-form-capable organisation is always
-// answered analytically instead of simulated. Below it a job still
-// qualifies when it is more than twice the admission guard's replay
-// (see trySimulateAnalytic).
+// analyticMinRefs is the job size (passes × refs/pass) from which a job
+// trace.ClosedForm covers is always answered in closed form instead of
+// simulated. Below it a job still qualifies when it is more than twice
+// the closed form's guard replay (see trySimulateAnalytic).
 const analyticMinRefs = 1 << 22
 
 // PartialError reports a simulation the context stopped mid-flight: the
@@ -46,17 +44,15 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // runSimulate executes one validated simulation job. Results are
 // deterministic: the same request always produces byte-identical
 // answers (the Random replacement policy is deterministically seeded,
-// the analytic path is guard-verified against replay, and which path
-// answers depends only on the job). shelf lends the job an idle
-// simulator of its cache spec; nil gives the job a shelf of its own, so
-// it builds a fresh one.
+// a closed-form answer passed trace.ClosedForm's replayed guard, and
+// which path answers depends only on the job). shelf lends the job an
+// idle simulator of its cache spec; nil gives the job a shelf of its
+// own, so it builds a fresh one.
 func runSimulate(ctx context.Context, req SimulateRequest, shelf *simShelf) (*SimulateResponse, error) {
 	req = req.Normalize()
 
-	// Strided sweeps over prime- or direct-mapped organisations have a
-	// closed form: answer every one for which it is cheaper than
-	// simulating in O(passes) arithmetic, guarded by a replayed
-	// cross-check at admission.
+	// Jobs trace.ClosedForm covers are answered in O(passes) arithmetic
+	// whenever that is cheaper than simulating them.
 	if shelf == nil {
 		shelf = new(simShelf)
 	}
@@ -109,69 +105,30 @@ func simulateResponse(req SimulateRequest, stats cache.Stats) *SimulateResponse 
 		HitRatio:    stats.HitRatio(),
 		MissRatio:   stats.MissRatio(),
 	}
-	if stride, ok := vectorStride(p); ok {
-		resp.AdderSteps = analyticAdderSteps(req.Cache, p.Start, stride, p.N, req.Passes)
+	if start, stride, n, ok := p.Vector(); ok {
+		resp.AdderSteps = analyticAdderSteps(req.Cache, start, stride, n, req.Passes)
 	}
 	return resp
 }
 
-// vectorStride returns the word stride of a pattern that is one strided
-// vector per pass (strided and diagonal); ok is false for the others.
-func vectorStride(p trace.Pattern) (stride int64, ok bool) {
-	switch p.Name {
-	case "strided":
-		return p.Stride, true
-	case "diagonal":
-		return int64(p.LD) + 1, true
-	}
-	return 0, false
-}
-
-// trySimulateAnalytic answers a qualifying normalised job via the
-// closed-form strided-sweep model. It returns nil when the job does not
-// qualify — wrong pattern or organisation, too small to bother, model
-// declined, or the admission cross-check failed (in which case the
-// caller simulates normally, which is always correct). Jobs below
-// analyticMinRefs qualify when the closed form, whose cost is the
-// guard replay's, is meaningfully cheaper than simulating. The guard
-// replays on a simulator lent by shelf.
+// trySimulateAnalytic answers a normalised job through
+// trace.ClosedForm, on a simulator lent by shelf for its guard replay.
+// It returns nil when the job is outside the closed form, too small to
+// bother, or fails the guard; the caller then simulates it, which is
+// always correct. Below analyticMinRefs a job qualifies only when it is
+// more than twice the guard's replay, so the closed form, whose cost is
+// that replay, is meaningfully cheaper than simulating.
 func trySimulateAnalytic(req SimulateRequest, shelf *simShelf) *SimulateResponse {
-	p, spec := req.Pattern, req.Cache
-	stride, ok := vectorStride(p)
-	if !ok {
+	_, guard, err := trace.ClosedForm(nil, req.Cache, req.Pattern, req.Passes)
+	refs := int64(req.Pattern.RefCount()) * int64(req.Passes)
+	if err != nil || refs < analyticMinRefs && refs <= 2*int64(guard) {
 		return nil
 	}
-	var sets int
-	switch spec.Kind {
-	case "prime":
-		sets = 1<<spec.C - 1
-	case "direct":
-		sets = spec.Lines
-	default:
-		return nil
-	}
-	// Below analyticMinRefs the closed form is only worth it when the
-	// guard replay (at most 2 passes over min(n, 2·sets+1) references)
-	// costs well under the job itself.
-	refs := int64(p.N) * int64(req.Passes)
-	if guardRefs := int64(2 * (2*sets + 1)); refs < analyticMinRefs && refs <= 2*guardRefs {
-		return nil
-	}
-	stats, ok := cache.StridedSweepStats(spec, p.Start, stride, p.N, req.Passes, p.Stream)
-	if !ok {
-		return nil // model declines the full instance; skip the guard
-	}
-	// Admission guard: replay a shrunken instance of the same sweep —
-	// same start, stride and stream, n capped at 2C+1 (covering the
-	// n ≤ C and n > C regimes) and two passes — and require the closed
-	// form to match it exactly. A model bug makes the job fall back to
-	// full simulation rather than return wrong numbers.
-	nGuard, passesGuard := min(p.N, 2*sets+1), min(req.Passes, 2)
-	b, _, err := shelf.checkout(spec)
+	b, _, err := shelf.checkout(req.Cache)
 	if err != nil {
 		return nil
 	}
-	err = oracle.VerifyStridedAnalytic(b.sim, spec, p.Start, stride, nGuard, passesGuard, p.Stream)
+	stats, _, err := trace.ClosedForm(b.sim, req.Cache, req.Pattern, req.Passes)
 	shelf.checkin(b)
 	if err != nil {
 		return nil

@@ -18,7 +18,7 @@ func vectorDrive(t *testing.T, req SimulateRequest) *SimulateResponse {
 	t.Helper()
 	req = req.Normalize()
 	p := req.Pattern
-	stride, ok := vectorStride(p)
+	start0, stride, n0, ok := p.Vector()
 	if !ok {
 		t.Fatalf("pattern %s is not one vector per pass", p)
 	}
@@ -27,9 +27,9 @@ func vectorDrive(t *testing.T, req SimulateRequest) *SimulateResponse {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < req.Passes; pass++ {
-		start := p.Start
-		for done := 0; done < p.N; done += evalChunk {
-			n := min(p.N-done, evalChunk)
+		start := start0
+		for done := 0; done < n0; done += evalChunk {
+			n := min(n0-done, evalChunk)
 			if _, err := vc.LoadVector(start, stride, n, p.Stream); err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func vectorDrive(t *testing.T, req SimulateRequest) *SimulateResponse {
 		Spec:        req.Cache.String(),
 		Pattern:     p.String(),
 		Passes:      req.Passes,
-		RefsPerPass: p.N,
+		RefsPerPass: n0,
 		Stats:       vc.Stats(),
 		AdderSteps:  vc.AdderSteps(),
 	}
@@ -143,11 +143,9 @@ func TestAnalyticMatchesVectorPath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req.Normalize()
-			stride, _ := vectorStride(req.Pattern)
-			p := req.Pattern
-			stats, ok := cache.StridedSweepStats(req.Cache, p.Start, stride, p.N, req.Passes, p.Stream)
-			if !ok {
-				t.Fatal("closed form declined the sweep")
+			stats, _, err := trace.ClosedForm(nil, req.Cache, req.Pattern, req.Passes)
+			if err != nil {
+				t.Fatal(err)
 			}
 			fast, slow := simulateResponse(req, stats), vectorDrive(t, req)
 			if *fast != *slow {

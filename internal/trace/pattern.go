@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"primecache/internal/cache"
 )
 
 // Pattern is a serialisable description of a synthetic access pattern —
@@ -85,39 +87,77 @@ func (p Pattern) Validate() error {
 	return nil
 }
 
+// A runGroup is count strided runs of n references each, in order: the
+// i'th starts at word base + i·step and steps by stride words, and every
+// reference is attributed to stream. Grouping equal runs lets RefCount
+// and the Cursor skip a group in O(1) however many runs it holds.
+type runGroup struct {
+	base   uint64
+	step   uint64
+	count  int
+	stride int64
+	n      int
+	stream int
+}
+
+// runs describes one pass of the normalised pattern p as at most two
+// groups of strided runs. It is the one statement of the references
+// each pattern makes: the Cursor (which Build drains), RefCount and
+// Vector all read it. An unknown name has no runs.
+func (p Pattern) runs() [2]runGroup {
+	switch p.Name {
+	case "strided":
+		return [2]runGroup{{base: p.Start, count: 1, stride: p.Stride, n: p.N, stream: p.Stream}}
+	case "diagonal":
+		return [2]runGroup{{base: p.Start, count: 1, stride: int64(p.LD) + 1, n: p.N, stream: p.Stream}}
+	case "subblock":
+		// b2 columns of b1 words, ld words apart.
+		return [2]runGroup{{base: p.Start, step: uint64(p.LD), count: p.B2, stride: 1, n: p.B1, stream: p.Stream}}
+	case "rowcol":
+		// A column sweep (stride 1) capped at the column height, then a
+		// row sweep (stride ld) on the next stream.
+		return [2]runGroup{
+			{base: p.Start, count: 1, stride: 1, n: min(p.N/2, p.LD), stream: p.Stream},
+			{base: p.Start, count: 1, stride: int64(p.LD), n: p.N / 2, stream: p.Stream + 1},
+		}
+	case "fft":
+		// b2 rows of n/b2 points, each with stride b2.
+		return [2]runGroup{{base: p.Start, step: 1, count: p.B2, stride: int64(p.B2), n: p.N / p.B2, stream: p.Stream}}
+	}
+	return [2]runGroup{}
+}
+
 // RefCount returns the number of references one pass of the pattern
-// materialises — len(Build()) without the allocation — saturating at
+// makes — len(Build()) without the allocation — saturating at
 // math.MaxInt on overflow. Callers can bound a job against a reference
 // budget before paying for the trace.
 func (p Pattern) RefCount() int {
-	p = p.Normalize()
-	switch p.Name {
-	case "strided", "diagonal":
-		return p.N
-	case "subblock":
-		return satMul(p.B1, p.B2)
-	case "rowcol":
-		// Build caps the column sweep at min(n/2, ld) and appends an
-		// n/2-element row sweep.
-		col := p.N / 2
-		if col > p.LD {
-			col = p.LD
+	total := 0
+	for _, g := range p.Normalize().runs() {
+		if g.count > 0 && g.n > 0 {
+			total = satAdd(total, satMul(g.count, g.n))
 		}
-		return satAdd(col, p.N/2)
-	case "fft":
-		if p.B2 <= 0 {
-			return 0
-		}
-		return satMul(p.B2, p.N/p.B2)
-	default:
-		return 0
 	}
+	return total
 }
 
-// satMul and satAdd multiply/add non-negative ints, saturating at
+// Vector returns the one strided vector a pass of a strided or
+// diagonal pattern is — its first word, word stride and length — with
+// ok true; every other pattern has ok false. It is meaningful only for
+// a pattern that validates.
+func (p Pattern) Vector() (start uint64, stride int64, n int, ok bool) {
+	p = p.Normalize()
+	if p.Name != "strided" && p.Name != "diagonal" {
+		return 0, 0, 0, false
+	}
+	g := p.runs()[0]
+	return g.base, g.stride, g.n, true
+}
+
+// satMul and satAdd multiply/add positive ints, saturating at
 // math.MaxInt instead of wrapping.
 func satMul(a, b int) int {
-	if a > 0 && b > math.MaxInt/a {
+	if b > math.MaxInt/a {
 		return math.MaxInt
 	}
 	return a * b
@@ -130,39 +170,21 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
-// Build materialises one pass of the pattern as a Trace.
+// Build materialises one pass of the pattern as a Trace, drained from
+// its Cursor.
 func (p Pattern) Build() (Trace, error) {
-	if err := p.Validate(); err != nil {
+	c, err := NewCursor(p)
+	if err != nil {
 		return nil, err
 	}
-	p = p.Normalize()
-	switch p.Name {
-	case "strided":
-		return Strided(p.Start, p.Stride, p.N, p.Stream), nil
-	case "diagonal":
-		return Diagonal(p.Start, p.LD, p.N, p.Stream), nil
-	case "subblock":
-		return Subblock(p.Start, p.LD, p.B1, p.B2, p.Stream), nil
-	case "rowcol":
-		// Alternating column (stride 1) and row (stride ld) sweeps.
-		col := Column(p.Start, p.LD, 0, p.Stream)
-		row := Row(p.Start, p.LD, p.N/2, 0, p.Stream+1)
-		n := p.N / 2
-		if n > len(col) {
-			n = len(col)
+	tr := make(Trace, 0, p.RefCount())
+	var buf [replayChunk]cache.Access
+	for n := c.Next(buf[:]); n > 0; n = c.Next(buf[:]) {
+		for _, a := range buf[:n] {
+			tr = append(tr, Ref{Addr: a.Addr, Stream: a.Stream})
 		}
-		return Concat(col[:n], row), nil
-	case "fft":
-		rows := p.B2
-		cols := p.N / p.B2
-		var tr Trace
-		for r := 0; r < rows; r++ {
-			tr = append(tr, Strided(p.Start+uint64(r), int64(p.B2), cols, p.Stream)...)
-		}
-		return tr, nil
-	default:
-		return nil, fmt.Errorf("trace: unknown pattern %q", p.Name)
 	}
+	return tr, nil
 }
 
 // String returns the canonical compact form of the normalised pattern;

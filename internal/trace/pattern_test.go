@@ -21,6 +21,10 @@ func TestPatternBuildMatchesGenerators(t *testing.T) {
 			Subblock(0, 100, 2, 3, 1)},
 		{"fft", Pattern{Name: "fft", N: 8, B2: 2},
 			Concat(Strided(0, 2, 4, 1), Strided(1, 2, 4, 1))},
+		{"rowcol capped", Pattern{Name: "rowcol", Start: 5, LD: 3, N: 10},
+			Concat(Column(5, 3, 0, 1), Row(5, 3, 5, 0, 2))},
+		{"rowcol uncapped", Pattern{Name: "rowcol", Start: 5, LD: 64, N: 8},
+			Concat(Column(5, 64, 0, 1)[:4], Row(5, 64, 4, 0, 2))},
 	}
 	for _, tc := range cases {
 		got, err := tc.p.Build()
